@@ -1,65 +1,19 @@
-"""Hot contraction kernels for correlation-tensor construction.
+"""The contraction kernel behind correlation-tensor construction.
 
 The expensive inner loop is the evaluation of all operator expectation
 values Tr(rho * A_1 (x) ... (x) A_n) over a product grid of per-mode
-operators. It is implemented twice: a numba @njit kernel and a pure-numpy
-einsum path. The numba path is used when numba imports cleanly and the
-environment variable CTM_DISABLE_NUMBA is unset; set CTM_DISABLE_NUMBA=1
-to force the numpy fallback. benchmarks/bench_kernels.py compares both.
+operators. It contracts one mode at a time with numpy's einsum.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def numba_enabled() -> bool:
-    return HAS_NUMBA and os.environ.get("CTM_DISABLE_NUMBA", "") not in ("1", "true")
-
-
-@njit(cache=True)
-def _contract_mode_nb(ops, x):
-    """out[a, m, r, s] = sum_ij ops[m, j, i] * x[a, i, r, j, s]."""
-    na, d, r, _, s = x.shape
-    nm = ops.shape[0]
-    out = np.zeros((na, nm, r, s), dtype=np.complex128)
-    for a in range(na):
-        for m in range(nm):
-            for i in range(d):
-                for j in range(d):
-                    w = ops[m, j, i]
-                    if w == 0.0:
-                        continue
-                    for p in range(r):
-                        for q in range(s):
-                            out[a, m, p, q] += w * x[a, i, p, j, q]
-    return out
-
-
-def _contract_mode_np(ops, x):
-    return np.einsum("mji,airjs->amrs", ops, x, optimize=True)
 
 
 def expectation_tensor(
     rho: np.ndarray,
     op_stacks: list[np.ndarray],
     dims: tuple[int, ...],
-    use_numba: bool | None = None,
 ) -> np.ndarray:
     """All expectation values Tr(rho * O_1 (x) ... (x) O_n).
 
@@ -67,10 +21,6 @@ def expectation_tensor(
     (m_1, ..., m_n). rho is the full D x D matrix with D = prod(dims),
     composite indices row-major with mode 1 most significant.
     """
-    if use_numba is None:
-        use_numba = numba_enabled()
-    contract = _contract_mode_nb if use_numba else _contract_mode_np
-
     n = len(dims)
     d_total = int(np.prod(dims))
     # x[a, I, J]: partial contraction over processed modes; starts as rho.
@@ -83,6 +33,8 @@ def expectation_tensor(
         na = x.shape[0]
         xr = np.ascontiguousarray(x.reshape(na, d, rem, d, rem))
         ops = np.ascontiguousarray(op_stacks[k], dtype=np.complex128)
-        x = contract(ops, xr).reshape(na * ops.shape[0], rem, rem)
+        # out[a, m, r, s] = sum_ij ops[m, j, i] * xr[a, i, r, j, s]
+        x = np.einsum("mji,airjs->amrs", ops, xr, optimize=True)
+        x = x.reshape(na * ops.shape[0], rem, rem)
         counts.append(ops.shape[0])
     return x.reshape(tuple(counts))

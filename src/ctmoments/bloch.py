@@ -21,7 +21,7 @@ from .basis import extended_basis, gellmann_generators
 from .errors import ModeOutOfRange, TooFewParties
 from .linalg import DensityMatrix, _require_bipartite
 
-REALITY_ATOL = 1e-12
+REALITY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class CorrelationTensor:
 
 def _real_part(raw: np.ndarray) -> np.ndarray:
     imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if imag > 1e-9:
+    if imag > REALITY_ATOL:
         raise ValueError(f"correlation entries not real: max imag {imag:.3e}")
     return np.ascontiguousarray(raw.real)
 
@@ -63,7 +63,6 @@ def correlation_tensor(
     rho: DensityMatrix,
     extended: bool = False,
     bases: list[list[np.ndarray]] | None = None,
-    use_numba: bool | None = None,
 ) -> CorrelationTensor:
     """Correlation tensor of a multipartite state.
 
@@ -91,7 +90,7 @@ def correlation_tensor(
         ]
     else:
         stacks = [np.stack(list(g)) for g in gens]
-    raw = _kernels.expectation_tensor(rho.mat, stacks, dims, use_numba=use_numba)
+    raw = _kernels.expectation_tensor(rho.mat, stacks, dims)
     entries = _real_part(raw)
 
     d_total = prod(dims)

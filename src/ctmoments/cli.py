@@ -13,18 +13,7 @@ import sys
 import numpy as np
 
 from . import criteria, io, states
-from .errors import CtmError, NonScalarFamily, UnknownCriterion
-
-INEQUALITY_CRITERIA = {
-    "ccnr",
-    "dv",
-    "li",
-    "thm1-plain",
-    "thm1-canonical",
-    "thm3-plain",
-    "thm3-canonical",
-}
-ALL_CRITERIA = set(criteria.BIPARTITE_ORDER)
+from .errors import CtmError, NonScalarFamily
 
 
 def _seed() -> int:
@@ -90,17 +79,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _selected_reports(rho, names, tol, include_hk):
-    reports = criteria.evaluate_all(rho, tol=tol, include_hk=include_hk)
-    if names is None:
-        return reports
-    by_name = {r.name: r for r in reports}
-    missing = [n for n in names if n not in by_name]
-    if missing:
-        raise UnknownCriterion(f"unknown or inapplicable criteria: {missing}")
-    return [by_name[n] for n in names]
-
-
 def cmd_analyze(args) -> int:
     try:
         rho, meta = io.load_state(args.input)
@@ -110,7 +88,9 @@ def cmd_analyze(args) -> int:
     names = None
     if args.criteria != "all":
         names = [p.strip() for p in args.criteria.split(",") if p.strip()]
-    reports = _selected_reports(rho, names, args.tol, args.include_Hk)
+    reports = criteria.evaluate_all(
+        rho, tol=args.tol, include_hk=args.include_Hk, names=names
+    )
     descriptor = {"path": args.input, "dims": list(rho.dims)}
     if meta is not None:
         descriptor["meta"] = meta
@@ -126,27 +106,8 @@ def cmd_analyze(args) -> int:
 
 def criterion_margin(rho, name, tol, include_hk=False) -> float:
     """Detection margin: positive means the named criterion flags rho."""
-    if name == "ppt":
-        rep = criteria.ppt_criterion(rho, tol)
-    elif name == "ccnr":
-        rep = criteria.ccnr_criterion(rho, tol)
-    elif name == "dv":
-        rep = criteria.dv_criterion(rho, tol)
-    elif name == "li":
-        rep = criteria.li_criterion(rho, tol)
-    elif name in ("thm1-plain", "thm1-canonical"):
-        plain, canon = criteria.theorem1(rho, tol)
-        rep = plain if name == "thm1-plain" else canon
-    elif name in ("thm2-plain", "thm2-canonical"):
-        plain, canon = criteria.theorem2(rho, tol, include_hk=include_hk)
-        rep = plain if name == "thm2-plain" else canon
-    elif name in ("thm3-plain", "thm3-canonical"):
-        plain, canon = criteria.theorem3(rho, tol)
-        rep = plain if name == "thm3-plain" else canon
-    else:
-        raise UnknownCriterion(f"unknown criterion {name!r}")
-    offset = tol if name in INEQUALITY_CRITERIA else 0.0
-    return rep.margin - offset
+    (report,) = criteria.evaluate_all(rho, tol, include_hk, names=[name])
+    return report.margin - tol
 
 
 def find_threshold(
@@ -161,14 +122,12 @@ def find_threshold(
     n_steps = int(round((hi - lo) / coarse_step))
     xs = np.linspace(lo, hi, n_steps + 1)
     gs = [criterion_margin(state_at(x), criterion, tol) for x in xs]
-    brackets = [
-        (float(xs[i]), float(xs[i + 1]))
-        for i in range(n_steps)
-        if (gs[i] > 0) != (gs[i + 1] > 0)
-    ]
-    crossings = []
-    for a, b in brackets:
-        ga = criterion_margin(state_at(a), criterion, tol)
+    crossings, brackets = [], []
+    for i in range(n_steps):
+        if (gs[i] > 0) == (gs[i + 1] > 0):
+            continue
+        a, b, ga = float(xs[i]), float(xs[i + 1]), gs[i]
+        brackets.append((a, b))
         while b - a > precision:
             mid = 0.5 * (a + b)
             gm = criterion_margin(state_at(mid), criterion, tol)

@@ -1,45 +1,41 @@
 """Separability criteria: moment inequalities, Hankel positivity, baselines.
 
 Every criterion is one-sided: a violation certifies entanglement, while
-passing says nothing. Reports share one shape: the tested quantity, the
-separable bound, the raw margin quantity - bound, and a violated flag
-that applies the tolerance (margin > tol for inequality tests).
+passing says nothing. Reports share one shape and one rule: the tested
+quantity, the separable bound, margin = quantity - bound, and
+violated = margin > tol.
+
+Each state is analysed once. `_Analysis` builds the extended correlation
+tensor T~ on first use, takes the plain tensor T as its [1:, ..., 1:]
+block, and keeps the singular values of every unfolding it is asked for,
+so a state costs at most one tensor build and one SVD per (tensor, mode).
+Every criterion is one entry of `_REGISTRY`, which fixes its name, its
+place in evaluate_all's order and whether it needs a bipartite state;
+the public functions are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod, sqrt
 
 import numpy as np
 
-from .bloch import correlation_tensor, unfold
-from .errors import NotBipartite
+from .bloch import CorrelationTensor, correlation_tensor, unfold
+from .errors import NotBipartite, UnknownCriterion
 from .linalg import (
     DensityMatrix,
+    _require_bipartite,
     hermitian_eigenvalues,
     partial_transpose,
     realign,
     singular_values,
     trace_norm,
 )
-from .moments import hankel_matrices, moments_of_state
+from .moments import MomentVector, hankel_matrices, moment_vector
 
 DEFAULT_TOL = 1e-9
-
-BIPARTITE_ORDER = (
-    "ppt",
-    "ccnr",
-    "dv",
-    "li",
-    "thm1-plain",
-    "thm1-canonical",
-    "thm2-plain",
-    "thm2-canonical",
-    "thm3-plain",
-    "thm3-canonical",
-)
-MULTIPARTITE_ORDER = ("dv", "li", "thm3-plain", "thm3-canonical")
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,44 @@ def multi_canonical_bound(dims) -> float:
     return prod(sqrt((d * d - d + 2) / (2 * d * d)) for d in dims)
 
 
-def _ineq_report(name, quantity, bound, tol, detail=None) -> CriterionReport:
+class _Analysis:
+    """Correlation data of one state, each piece computed on first use."""
+
+    def __init__(self, rho: DensityMatrix):
+        self.rho = rho
+        self.dims = rho.dims
+        self._extended: CorrelationTensor | None = None
+        self._sigmas: dict[tuple[bool, int], np.ndarray] = {}
+
+    def tensor(self, extended: bool) -> CorrelationTensor:
+        if self._extended is None:
+            self._extended = correlation_tensor(self.rho, extended=True)
+        if extended:
+            return self._extended
+        plain = self._extended.entries[(slice(1, None),) * len(self.dims)]
+        return CorrelationTensor(dims=self.dims, entries=plain, extended=False)
+
+    def sigmas(self, extended: bool, mode: int) -> np.ndarray:
+        """Singular values of the mode-k unfolding of T~ (extended) or T."""
+        key = (extended, mode)
+        if key not in self._sigmas:
+            self._sigmas[key] = singular_values(unfold(self.tensor(extended), mode))
+        return self._sigmas[key]
+
+    def moments(self, canonical: bool, K: int | None = None) -> MomentVector:
+        """Moments of T (plain) or T~ (canonical); K defaults to d1*d2."""
+        d1, d2 = _require_bipartite(self.rho)
+        if canonical:
+            a0 = float(d1 * d1 * d2 * d2)
+        else:
+            a0 = float((d1 * d1 - 1) * (d2 * d2 - 1))
+        return moment_vector(
+            self.sigmas(canonical, 1), d1 * d2 if K is None else K, a0,
+            source="canonical" if canonical else "plain", dims=(d1, d2),
+        )
+
+
+def _report(name, quantity, bound, tol, detail=None) -> CriterionReport:
     margin = quantity - bound
     return CriterionReport(
         name=name,
@@ -90,47 +123,117 @@ def _ineq_report(name, quantity, bound, tol, detail=None) -> CriterionReport:
     )
 
 
-def theorem1(
-    rho: DensityMatrix, tol: float = DEFAULT_TOL
-) -> tuple[CriterionReport, CriterionReport]:
-    """Moment inequalities a2^2 <= dv_bound * a3 and b2^2 <= li_bound * b3."""
-    if rho.n_parties != 2:
-        raise NotBipartite("theorem1 applies to bipartite states")
-    d1, d2 = rho.dims
-    a = moments_of_state(rho, canonical=False, K=3)
-    b = moments_of_state(rho, canonical=True, K=3)
-    plain = _ineq_report("thm1-plain", a[2] ** 2, dv_bound(d1, d2) * a[3], tol)
-    canon = _ineq_report("thm1-canonical", b[2] ** 2, li_bound(d1, d2) * b[3], tol)
-    return plain, canon
+def _kind(canonical: bool) -> str:
+    return "canonical" if canonical else "plain"
 
 
-def _hankel_report(name, pair, tol, include_hk) -> CriterionReport:
+def _ppt(a: _Analysis, tol, include_hk) -> CriterionReport:
+    lam_min = float(hermitian_eigenvalues(partial_transpose(a.rho))[-1])
+    return _report("ppt", -lam_min, 0.0, tol, {"min_eigenvalue": lam_min})
+
+
+def _ccnr(a: _Analysis, tol, include_hk) -> CriterionReport:
+    return _report("ccnr", trace_norm(realign(a.rho)), 1.0, tol)
+
+
+def _trace_norm_test(
+    extended: bool, a: _Analysis, tol, include_hk
+) -> CriterionReport:
+    """Max over mode-k unfoldings of the trace norm of T~ (li) or T (dv)."""
+    norm = max(
+        float(np.sum(a.sigmas(extended, k))) for k in range(1, len(a.dims) + 1)
+    )
+    if extended:
+        return _report("li", norm, multi_canonical_bound(a.dims), tol)
+    return _report("dv", norm, multi_plain_bound(a.dims), tol)
+
+
+def _thm1(canonical: bool, a: _Analysis, tol, include_hk) -> CriterionReport:
+    m = a.moments(canonical, K=3)
+    bound = (li_bound if canonical else dv_bound)(*a.dims)
+    return _report(f"thm1-{_kind(canonical)}", m[2] ** 2, bound * m[3], tol)
+
+
+def _thm2(canonical: bool, a: _Analysis, tol, include_hk) -> CriterionReport:
+    bound = (li_bound if canonical else dv_bound)(*a.dims)
+    pair = hankel_matrices(a.moments(canonical), bound)
+
     def min_eigs(mats):
-        out = []
-        for m in mats:
-            scale = max(1.0, float(np.max(np.abs(m))))
-            out.append((float(hermitian_eigenvalues(m)[-1]), scale))
-        return out
+        return [
+            (float(hermitian_eigenvalues(m)[-1]), max(1.0, float(np.max(np.abs(m)))))
+            for m in mats
+        ]
 
     b_eigs = min_eigs(pair.b_hat)
     h_eigs = min_eigs(pair.h_hat)
     considered = b_eigs + (h_eigs if include_hk else [])
-    margin = max(-lam - tol * scale for lam, scale in considered)
-    quantity = max(-lam for lam, _ in considered)
     detail = {
         "b_min_eigenvalues": [lam for lam, _ in b_eigs],
         "h_min_eigenvalues": [lam for lam, _ in h_eigs],
         "include_hk": include_hk,
         "substituted_a1": pair.substituted_a1,
     }
-    return CriterionReport(
-        name=name,
-        quantity=float(quantity),
-        bound=float(quantity - margin),
-        violated=bool(margin > 0),
-        margin=float(margin),
-        detail=detail,
+    quantity = max(-lam / scale for lam, scale in considered)
+    return _report(f"thm2-{_kind(canonical)}", quantity, 0.0, tol, detail)
+
+
+def _thm3(extended: bool, a: _Analysis, tol, include_hk) -> CriterionReport:
+    """Per-mode test of m2^2 <= bound * m3 over all unfoldings."""
+    bound = (multi_canonical_bound if extended else multi_plain_bound)(a.dims)
+    modes = []
+    for mode in range(1, len(a.dims) + 1):
+        s = a.sigmas(extended, mode)
+        m2 = float(np.sum(s**2))
+        m3 = float(np.sum(s**3))
+        quantity = m2 * m2
+        rhs = bound * m3
+        modes.append(
+            {"mode": mode, "quantity": quantity, "bound": rhs, "margin": quantity - rhs}
+        )
+    worst = max(modes, key=lambda m: m["margin"])
+    return _report(
+        f"thm3-{_kind(extended)}", worst["quantity"], worst["bound"], tol,
+        detail={"modes": modes},
     )
+
+
+# name -> (bipartite only, fn(analysis, tol, include_hk)), in report order
+_REGISTRY = {
+    "ppt": (True, _ppt),
+    "ccnr": (True, _ccnr),
+    "dv": (False, partial(_trace_norm_test, False)),
+    "li": (False, partial(_trace_norm_test, True)),
+    "thm1-plain": (True, partial(_thm1, False)),
+    "thm1-canonical": (True, partial(_thm1, True)),
+    "thm2-plain": (True, partial(_thm2, False)),
+    "thm2-canonical": (True, partial(_thm2, True)),
+    "thm3-plain": (False, partial(_thm3, False)),
+    "thm3-canonical": (False, partial(_thm3, True)),
+}
+
+
+def _run(
+    name: str, a: _Analysis, tol: float, include_hk: bool = False
+) -> CriterionReport:
+    bipartite_only, fn = _REGISTRY[name]
+    if bipartite_only and len(a.dims) != 2:
+        raise NotBipartite(f"{name} applies to bipartite states")
+    return fn(a, tol, include_hk)
+
+
+def _pair(prefix, rho, tol, include_hk=False):
+    a = _Analysis(rho)
+    return (
+        _run(f"{prefix}-plain", a, tol, include_hk),
+        _run(f"{prefix}-canonical", a, tol, include_hk),
+    )
+
+
+def theorem1(
+    rho: DensityMatrix, tol: float = DEFAULT_TOL
+) -> tuple[CriterionReport, CriterionReport]:
+    """Moment inequalities a2^2 <= dv_bound * a3 and b2^2 <= li_bound * b3."""
+    return _pair("thm1", rho, tol)
 
 
 def theorem2(
@@ -138,44 +241,15 @@ def theorem2(
 ) -> tuple[CriterionReport, CriterionReport]:
     """Positivity of the bound-substituted Hankel matrices.
 
-    By default only the B_hat family is decisive: substituting the
-    separable bound for a_1 enlarges a diagonal entry of B_l (PSD is
-    preserved for separables) but sits off-diagonal in H_k, where the
-    substitution is not monotone; H_k results are reported in the detail
-    and only count toward `violated` with include_hk=True.
+    The quantity is the largest -lambda_min / max(1, max|M|) over the
+    decisive matrices M, and the bound is 0. By default only the B_hat
+    family is decisive: substituting the separable bound for a_1 enlarges
+    a diagonal entry of B_l (PSD is preserved for separables) but sits
+    off-diagonal in H_k, where the substitution is not monotone; H_k
+    results are reported in the detail and only count toward `violated`
+    with include_hk=True. The raw minimum eigenvalues are in the detail.
     """
-    if rho.n_parties != 2:
-        raise NotBipartite("theorem2 applies to bipartite states")
-    d1, d2 = rho.dims
-    a = moments_of_state(rho, canonical=False)
-    b = moments_of_state(rho, canonical=True)
-    pair_a = hankel_matrices(a, dv_bound(d1, d2))
-    pair_b = hankel_matrices(b, li_bound(d1, d2))
-    return (
-        _hankel_report("thm2-plain", pair_a, tol, include_hk),
-        _hankel_report("thm2-canonical", pair_b, tol, include_hk),
-    )
-
-
-def _unfolding_moment_test(tensor, bound, tol):
-    """Per-mode test of m2^2 <= bound * m3 over all unfoldings."""
-    modes = []
-    for mode in range(1, tensor.n + 1):
-        s = singular_values(unfold(tensor, mode))
-        m2 = float(np.sum(s**2))
-        m3 = float(np.sum(s**3))
-        quantity = m2 * m2
-        rhs = bound * m3
-        modes.append(
-            {
-                "mode": mode,
-                "quantity": quantity,
-                "bound": rhs,
-                "margin": quantity - rhs,
-            }
-        )
-    worst = max(modes, key=lambda m: m["margin"])
-    return worst, modes
+    return _pair("thm2", rho, tol, include_hk)
 
 
 def theorem3(
@@ -187,98 +261,52 @@ def theorem3(
     if the inequality fails in at least one mode (each unfolding's trace
     norm obeys the separable bound, so per-mode evaluation stays sound).
     """
-    reports = []
-    for extended, name, bound in (
-        (False, "thm3-plain", multi_plain_bound(rho.dims)),
-        (True, "thm3-canonical", multi_canonical_bound(rho.dims)),
-    ):
-        t = correlation_tensor(rho, extended=extended)
-        worst, modes = _unfolding_moment_test(t, bound, tol)
-        reports.append(
-            _ineq_report(
-                name, worst["quantity"], worst["bound"], tol, detail={"modes": modes}
-            )
-        )
-    return reports[0], reports[1]
-
-
-def _tensor_trace_norm(tensor) -> float:
-    """Max over mode-k unfoldings of the trace norm."""
-    return max(
-        trace_norm(unfold(tensor, mode)) for mode in range(1, tensor.n + 1)
-    )
+    return _pair("thm3", rho, tol)
 
 
 def dv_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace-norm bound on the plain correlation tensor."""
-    t = correlation_tensor(rho, extended=False)
-    return _ineq_report("dv", _tensor_trace_norm(t), multi_plain_bound(rho.dims), tol)
+    return _run("dv", _Analysis(rho), tol)
 
 
 def li_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace-norm bound on the extended (canonical) correlation tensor."""
-    t = correlation_tensor(rho, extended=True)
-    return _ineq_report(
-        "li", _tensor_trace_norm(t), multi_canonical_bound(rho.dims), tol
-    )
+    return _run("li", _Analysis(rho), tol)
 
 
 def ppt_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
-    """Negative eigenvalue of the partial transpose certifies entanglement."""
-    if rho.n_parties != 2:
-        raise NotBipartite("ppt applies to bipartite states")
-    lam_min = float(hermitian_eigenvalues(partial_transpose(rho))[-1])
-    quantity = -lam_min
-    margin = quantity - tol
-    return CriterionReport(
-        name="ppt",
-        quantity=quantity,
-        bound=tol,
-        violated=bool(margin > 0),
-        margin=margin,
-        detail={"min_eigenvalue": lam_min},
-    )
+    """Negative eigenvalue of the partial transpose certifies entanglement.
+
+    The quantity is -lambda_min and the bound is 0.
+    """
+    return _run("ppt", _Analysis(rho), tol)
 
 
 def ccnr_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace norm of the realigned matrix exceeding 1 certifies entanglement."""
-    if rho.n_parties != 2:
-        raise NotBipartite("ccnr applies to bipartite states")
-    return _ineq_report("ccnr", trace_norm(realign(rho)), 1.0, tol)
+    return _run("ccnr", _Analysis(rho), tol)
 
 
 def evaluate_all(
-    rho: DensityMatrix, tol: float = DEFAULT_TOL, include_hk: bool = False
+    rho: DensityMatrix,
+    tol: float = DEFAULT_TOL,
+    include_hk: bool = False,
+    names: list[str] | None = None,
 ) -> list[CriterionReport]:
-    """Run every applicable criterion; errors become per-report markers."""
-    bipartite = rho.n_parties == 2
-    order = BIPARTITE_ORDER if bipartite else MULTIPARTITE_ORDER
-    results: dict[str, CriterionReport] = {}
+    """Run the named criteria on one shared analysis of rho.
 
-    def run(names, fn):
-        try:
-            out = fn()
-        except Exception as exc:  # pragma: no cover - defensive batch path
-            for nm in names:
-                results[nm] = CriterionReport(
-                    name=nm, quantity=0.0, bound=0.0, violated=False,
-                    margin=0.0, detail={"error": str(exc)},
-                )
-        else:
-            if isinstance(out, CriterionReport):
-                out = (out,)
-            for rep in out:
-                results[rep.name] = rep
-
-    if bipartite:
-        run(["ppt"], lambda: ppt_criterion(rho, tol))
-        run(["ccnr"], lambda: ccnr_criterion(rho, tol))
-        run(["thm1-plain", "thm1-canonical"], lambda: theorem1(rho, tol))
-        run(
-            ["thm2-plain", "thm2-canonical"],
-            lambda: theorem2(rho, tol, include_hk=include_hk),
-        )
-    run(["dv"], lambda: dv_criterion(rho, tol))
-    run(["li"], lambda: li_criterion(rho, tol))
-    run(["thm3-plain", "thm3-canonical"], lambda: theorem3(rho, tol))
-    return [results[name] for name in order]
+    names defaults to every criterion that applies to rho, in registry
+    order; a name that is unknown or needs a bipartite state raises
+    UnknownCriterion before anything is computed.
+    """
+    applicable = [
+        name for name, (bipartite_only, _) in _REGISTRY.items()
+        if rho.n_parties == 2 or not bipartite_only
+    ]
+    if names is None:
+        names = applicable
+    missing = [name for name in names if name not in applicable]
+    if missing:
+        raise UnknownCriterion(f"unknown or inapplicable criteria: {missing}")
+    a = _Analysis(rho)
+    return [_run(name, a, tol, include_hk) for name in names]

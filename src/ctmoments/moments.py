@@ -12,9 +12,8 @@ from math import floor, prod
 
 import numpy as np
 
-from .bloch import canonical_matrix, decompose_bipartite
 from .errors import InsufficientMoments, NegativeSingularValue
-from .linalg import DensityMatrix, _require_bipartite, singular_values
+from .linalg import DensityMatrix
 
 SIGMA_FLOOR = 1e-300
 
@@ -79,19 +78,9 @@ def moments_of_state(
 
     K defaults to d1*d2, enough for every Hankel matrix below.
     """
-    d1, d2 = _require_bipartite(rho)
-    dec = decompose_bipartite(rho)
-    if canonical:
-        mat = canonical_matrix(dec)
-        a0 = float(d1 * d1 * d2 * d2)
-        source = "canonical"
-    else:
-        mat = dec.T
-        a0 = float((d1 * d1 - 1) * (d2 * d2 - 1))
-        source = "plain"
-    if K is None:
-        K = d1 * d2
-    return moment_vector(singular_values(mat), K, a0, source=source, dims=(d1, d2))
+    from .criteria import _Analysis  # criteria imports this module
+
+    return _Analysis(rho).moments(canonical, K)
 
 
 def hankel_matrices(m: MomentVector, substituted_a1: float) -> HankelPair:

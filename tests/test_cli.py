@@ -1,8 +1,10 @@
 import json
+from math import ceil, log2
 
-import pytest
+import numpy as np
 
-from ctmoments.cli import main
+from ctmoments import _kernels, criteria, states
+from ctmoments.cli import find_threshold, main
 
 
 def run(capsys, *argv):
@@ -36,6 +38,36 @@ def test_analyze_criteria_subset_and_output_file(tmp_path, capsys):
     payload = json.loads(open(report).read())
     assert [r["name"] for r in payload["reports"]] == ["ppt", "dv"]
     assert payload["any_violated"] is True
+
+
+def test_analyze_baselines_build_no_tensor(tmp_path, capsys, monkeypatch):
+    state = str(tmp_path / "w.json")
+    run(capsys, "generate", "--family", "werner", "--d", "3", "--x", "-0.8",
+        "-o", state)
+    calls = []
+    build = _kernels.expectation_tensor
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # dims
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "expectation_tensor", counted)
+    code, out, _ = run(capsys, "analyze", state, "--criteria", "ppt,ccnr")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["reports"]] == ["ppt", "ccnr"]
+    assert calls == []
+
+
+def test_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    state = str(tmp_path / "b.json")
+    run(capsys, "generate", "--family", "bell", "-o", state)
+
+    def fail(analysis, tol, include_hk):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(criteria._REGISTRY, "ccnr", (True, fail))
+    code, out, err = run(capsys, "analyze", state)
+    assert code == 3 and out == "" and "did not converge" in err
 
 
 def test_analyze_unknown_criterion(tmp_path, capsys):
@@ -118,6 +150,23 @@ def test_threshold_werner_thm1(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["threshold"] - (-1 / 3)) < 1e-4
+
+
+def test_threshold_reuses_coarse_grid_margins():
+    # the werner d = 3 thm1-plain margin changes sign once on [-1, 1]; each
+    # bisection step builds one state, and the bracket's left end reuses its
+    # coarse-grid margin instead of rebuilding that state
+    calls = []
+
+    def state_at(x):
+        calls.append(x)
+        return states.werner(3, x)
+
+    crossings, brackets = find_threshold(state_at, "thm1-plain", -1.0, 1.0)
+    assert len(brackets) == 1 and abs(crossings[0] - (-1 / 3)) < 1e-4
+    grid = 201  # coarse step 0.01 over [-1, 1]
+    bisections = ceil(log2(0.01 / 1e-5))
+    assert len(calls) == grid + bisections
 
 
 def test_threshold_requires_scalar_family(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ctmoments import _kernels
 from ctmoments import (
     bell,
     ccnr_criterion,
@@ -21,7 +22,8 @@ from ctmoments import (
     tiles_ppt,
     werner,
 )
-from ctmoments.criteria import BIPARTITE_ORDER, MULTIPARTITE_ORDER
+from ctmoments.cli import criterion_margin
+from ctmoments.criteria import DEFAULT_TOL
 from ctmoments.errors import NotBipartite
 from ctmoments.states import random_density, random_separable
 
@@ -146,14 +148,43 @@ def test_bipartite_criteria_reject_multipartite():
 
 def test_evaluate_all_report_order():
     names = [r.name for r in evaluate_all(bell())]
-    assert names == list(BIPARTITE_ORDER)
+    assert names == [
+        "ppt", "ccnr", "dv", "li", "thm1-plain", "thm1-canonical",
+        "thm2-plain", "thm2-canonical", "thm3-plain", "thm3-canonical",
+    ]
     names = [r.name for r in evaluate_all(ghz(3))]
-    assert names == list(MULTIPARTITE_ORDER)
+    assert names == ["dv", "li", "thm3-plain", "thm3-canonical"]
 
 
 def test_report_margin_consistency():
-    for r in evaluate_all(werner(3, -1.0)):
-        assert abs(r.margin - (r.quantity - r.bound)) < 1e-12
+    # one margin rule for every report: margin = quantity - bound and
+    # violated = margin > tol; the CLI's margin is positive iff violated
+    rng = np.random.default_rng(53)
+    states = [werner(3, -1.0), tiles_ppt(), bell(), ghz(3)]
+    for dims in [(2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3)]:
+        states += [random_density(dims, rng) for _ in range(3)]
+        states.append(random_separable(dims, rng))
+    for rho in states:
+        for r in evaluate_all(rho):
+            assert r.margin == r.quantity - r.bound, r.name
+            assert r.violated == (r.margin > DEFAULT_TOL), r.name
+            assert (criterion_margin(rho, r.name, DEFAULT_TOL) > 0) == r.violated
+
+
+def test_one_tensor_build_per_evaluate_all(monkeypatch):
+    calls = []
+    build = _kernels.expectation_tensor
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # dims
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "expectation_tensor", counted)
+    rng = np.random.default_rng(59)
+    for dims in [(3, 3), (2, 2, 2)]:
+        calls.clear()
+        evaluate_all(random_density(dims, rng))
+        assert len(calls) == 1, dims
 
 
 def test_local_unitary_invariance():

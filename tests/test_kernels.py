@@ -3,14 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from ctmoments import _kernels, correlation_tensor
-from ctmoments._kernels import expectation_tensor, numba_enabled
+from ctmoments._kernels import expectation_tensor
 from ctmoments.basis import extended_basis
 from ctmoments.states import random_density
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAS_NUMBA, reason="numba not importable"
-)
 
 
 def brute_force_expectations(rho, op_stacks):
@@ -30,20 +25,9 @@ def test_numpy_kernel_matches_brute_force(dims):
     rng = np.random.default_rng(sum(dims))
     rho = random_density(dims, rng).mat
     op_stacks = [np.stack(extended_basis(d)) for d in dims]
-    got = expectation_tensor(rho, op_stacks, tuple(dims), use_numba=False)
+    got = expectation_tensor(rho, op_stacks, tuple(dims))
     want = brute_force_expectations(rho, op_stacks)
     np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-@needs_numba
-@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
-def test_numba_kernel_matches_numpy(dims):
-    rng = np.random.default_rng(1 + sum(dims))
-    rho = random_density(dims, rng).mat
-    op_stacks = [np.stack(extended_basis(d)) for d in dims]
-    a = expectation_tensor(rho, op_stacks, tuple(dims), use_numba=True)
-    b = expectation_tensor(rho, op_stacks, tuple(dims), use_numba=False)
-    np.testing.assert_allclose(a, b, atol=1e-13)
 
 
 def test_ragged_stack_shapes():
@@ -53,26 +37,6 @@ def test_ragged_stack_shapes():
         rng.normal(size=(2, 2, 2)) + 0j,
         rng.normal(size=(5, 3, 3)) + 0j,
     ]
-    got = expectation_tensor(rho, stacks, (2, 3), use_numba=False)
+    got = expectation_tensor(rho, stacks, (2, 3))
     assert got.shape == (2, 5)
     np.testing.assert_allclose(got, brute_force_expectations(rho, stacks), atol=1e-12)
-
-
-@needs_numba
-def test_correlation_tensor_backend_agreement():
-    rng = np.random.default_rng(3)
-    for dims in [(3, 3), (2, 2, 2)]:
-        rho = random_density(dims, rng)
-        for extended in (False, True):
-            a = correlation_tensor(rho, extended=extended, use_numba=True)
-            b = correlation_tensor(rho, extended=extended, use_numba=False)
-            np.testing.assert_allclose(a.entries, b.entries, atol=1e-13)
-
-
-def test_env_flag_disables_numba(monkeypatch):
-    monkeypatch.delenv("CTM_DISABLE_NUMBA", raising=False)
-    assert numba_enabled() == _kernels.HAS_NUMBA
-    monkeypatch.setenv("CTM_DISABLE_NUMBA", "1")
-    assert not numba_enabled()
-    monkeypatch.setenv("CTM_DISABLE_NUMBA", "true")
-    assert not numba_enabled()
