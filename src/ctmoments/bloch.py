@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .basis import extended_basis, gellmann_generators
-from .errors import ModeOutOfRange, TooFewParties
+from .errors import InvalidCorrelationTensor, ModeOutOfRange, TooFewParties
 from .linalg import DensityMatrix, _require_bipartite
 
 REALITY_ATOL = 1e-9
@@ -55,7 +55,7 @@ class CorrelationTensor:
 def _real_part(raw: np.ndarray) -> np.ndarray:
     imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
     if imag > REALITY_ATOL:
-        raise ValueError(f"correlation entries not real: max imag {imag:.3e}")
+        raise InvalidCorrelationTensor(f"correlation entries not real: max imag {imag:.3e}")
     return np.ascontiguousarray(raw.real)
 
 
@@ -149,7 +149,7 @@ def unfold(t: CorrelationTensor, mode: int) -> np.ndarray:
 def reconstruct(t: CorrelationTensor) -> np.ndarray:
     """Rebuild the density matrix from an extended correlation tensor."""
     if not t.extended:
-        raise ValueError("reconstruction requires the extended tensor")
+        raise InvalidCorrelationTensor("reconstruction requires the extended tensor")
     dims = t.dims
     bases = [extended_basis(d) for d in dims]
     d_total = prod(dims)

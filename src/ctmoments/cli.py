@@ -88,9 +88,7 @@ def cmd_analyze(args) -> int:
     names = None
     if args.criteria != "all":
         names = [p.strip() for p in args.criteria.split(",") if p.strip()]
-    reports = criteria.evaluate_all(
-        rho, tol=args.tol, include_hk=args.include_Hk, names=names
-    )
+    reports = criteria.evaluate_all(rho, tol=args.tol, names=names)
     descriptor = {"path": args.input, "dims": list(rho.dims)}
     if meta is not None:
         descriptor["meta"] = meta
@@ -104,9 +102,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def criterion_margin(rho, name, tol, include_hk=False) -> float:
+def criterion_margin(rho, name, tol) -> float:
     """Detection margin: positive means the named criterion flags rho."""
-    (report,) = criteria.evaluate_all(rho, tol, include_hk, names=[name])
+    (report,) = criteria.evaluate_all(rho, tol, names=[name])
     return report.margin - tol
 
 
@@ -206,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'all' or a comma-separated list of criterion names")
     ana.add_argument("--tol", type=float, default=criteria.DEFAULT_TOL)
     ana.add_argument("--output", help="write the JSON report here instead of stdout")
-    ana.add_argument("--include-Hk", dest="include_Hk", action="store_true",
-                     help="let the H_hat_k Hankel family contribute to thm2")
     ana.set_defaults(fn=cmd_analyze)
 
     thr = sub.add_parser("threshold",

@@ -26,16 +26,17 @@ from .bloch import CorrelationTensor, correlation_tensor, unfold
 from .errors import NotBipartite, UnknownCriterion
 from .linalg import (
     DensityMatrix,
-    _require_bipartite,
     hermitian_eigenvalues,
     partial_transpose,
     realign,
     singular_values,
     trace_norm,
 )
-from .moments import MomentVector, hankel_matrices, moment_vector
 
 DEFAULT_TOL = 1e-9
+# thm2's Krylov space is exhausted once a Lanczos residual (x <= 1) falls to
+# this; two Gram-Schmidt passes leave rounding near 1e-15
+LANCZOS_BREAKDOWN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,6 @@ class _Analysis:
             self._sigmas[key] = singular_values(unfold(self.tensor(extended), mode))
         return self._sigmas[key]
 
-    def moments(self, canonical: bool, K: int | None = None) -> MomentVector:
-        """Moments of T (plain) or T~ (canonical); K defaults to d1*d2."""
-        d1, d2 = _require_bipartite(self.rho)
-        if canonical:
-            a0 = float(d1 * d1 * d2 * d2)
-        else:
-            a0 = float((d1 * d1 - 1) * (d2 * d2 - 1))
-        return moment_vector(
-            self.sigmas(canonical, 1), d1 * d2 if K is None else K, a0,
-            source="canonical" if canonical else "plain", dims=(d1, d2),
-        )
-
 
 def _report(name, quantity, bound, tol, detail=None) -> CriterionReport:
     margin = quantity - bound
@@ -127,18 +116,16 @@ def _kind(canonical: bool) -> str:
     return "canonical" if canonical else "plain"
 
 
-def _ppt(a: _Analysis, tol, include_hk) -> CriterionReport:
+def _ppt(a: _Analysis, tol) -> CriterionReport:
     lam_min = float(hermitian_eigenvalues(partial_transpose(a.rho))[-1])
     return _report("ppt", -lam_min, 0.0, tol, {"min_eigenvalue": lam_min})
 
 
-def _ccnr(a: _Analysis, tol, include_hk) -> CriterionReport:
+def _ccnr(a: _Analysis, tol) -> CriterionReport:
     return _report("ccnr", trace_norm(realign(a.rho)), 1.0, tol)
 
 
-def _trace_norm_test(
-    extended: bool, a: _Analysis, tol, include_hk
-) -> CriterionReport:
+def _trace_norm_test(extended: bool, a: _Analysis, tol) -> CriterionReport:
     """Max over mode-k unfoldings of the trace norm of T~ (li) or T (dv)."""
     norm = max(
         float(np.sum(a.sigmas(extended, k))) for k in range(1, len(a.dims) + 1)
@@ -148,43 +135,70 @@ def _trace_norm_test(
     return _report("dv", norm, multi_plain_bound(a.dims), tol)
 
 
-def _thm1(canonical: bool, a: _Analysis, tol, include_hk) -> CriterionReport:
-    m = a.moments(canonical, K=3)
+def _m2_m3(s: np.ndarray) -> tuple[float, float]:
+    """Second and third power sums of one unfolding's singular values."""
+    return float(np.sum(s * s)), float(np.sum(s * s * s))
+
+
+def _thm1(canonical: bool, a: _Analysis, tol) -> CriterionReport:
+    m2, m3 = _m2_m3(a.sigmas(canonical, 1))
     bound = (li_bound if canonical else dv_bound)(*a.dims)
-    return _report(f"thm1-{_kind(canonical)}", m[2] ** 2, bound * m[3], tol)
+    return _report(f"thm1-{_kind(canonical)}", m2 * m2, bound * m3, tol)
 
 
-def _thm2(canonical: bool, a: _Analysis, tol, include_hk) -> CriterionReport:
-    bound = (li_bound if canonical else dv_bound)(*a.dims)
-    pair = hankel_matrices(a.moments(canonical), bound)
+def _required_a1(s: np.ndarray, steps: int) -> list[float]:
+    """Smallest a_1 keeping B_1..B_steps PSD, given the other moments of s.
 
-    def min_eigs(mats):
-        return [
-            (float(hermitian_eigenvalues(m)[-1]), max(1.0, float(np.max(np.abs(m)))))
-            for m in mats
-        ]
+    B_l is the moment matrix of mu = sum_i s_i delta_{s_i}, so B_l(beta) is
+    PSD exactly when beta >= ||P_l 1||^2_mu, P_l projecting onto
+    span{x, ..., x^l}: a weighted least-squares problem, solved by a Lanczos
+    recurrence on x = s / max(s) with full reorthogonalisation. Once the
+    Krylov space stops growing it holds 1, and the answer is a_1.
+    """
+    a1 = float(np.sum(s))
+    top = float(np.max(s))
+    x = s / top if top > 0 else s
+    one = np.sqrt(x)
+    basis = np.zeros((steps, s.size))
+    required, total = [], 0.0
+    w = x * one
+    for l in range(steps):
+        for _ in range(2):
+            w = w - basis[:l].T @ (basis[:l] @ w)
+        norm = float(np.linalg.norm(w))
+        if norm <= LANCZOS_BREAKDOWN:
+            return required + [a1] * (steps - l)
+        basis[l] = w / norm
+        total += float(basis[l] @ one) ** 2
+        required.append(min(top * total, a1))  # Bessel: ||P_l 1||^2 <= a_1
+        w = x * basis[l]
+    return required
 
-    b_eigs = min_eigs(pair.b_hat)
-    h_eigs = min_eigs(pair.h_hat)
-    considered = b_eigs + (h_eigs if include_hk else [])
+
+def _thm2(canonical: bool, a: _Analysis, tol) -> CriterionReport:
+    """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
+    d1, d2 = a.dims
+    s = a.sigmas(canonical, 1)
+    bound = (li_bound if canonical else dv_bound)(d1, d2)
+    required = _required_a1(s, (d1 * d2 - 1) // 2)
+    # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
+    # sign is that of -(thm1 margin), computed from the same sums
+    m2, m3 = _m2_m3(s)
+    lam_max = 0.5 * (bound + m3) + sqrt(0.25 * (bound - m3) ** 2 + m2 * m2)
     detail = {
-        "b_min_eigenvalues": [lam for lam, _ in b_eigs],
-        "h_min_eigenvalues": [lam for lam, _ in h_eigs],
-        "include_hk": include_hk,
-        "substituted_a1": pair.substituted_a1,
+        "substituted_a1": bound,
+        "required_a1": required,
+        "b_min_eigenvalues": [(bound * m3 - m2 * m2) / lam_max],
     }
-    quantity = max(-lam / scale for lam, scale in considered)
-    return _report(f"thm2-{_kind(canonical)}", quantity, 0.0, tol, detail)
+    return _report(f"thm2-{_kind(canonical)}", max(required), bound, tol, detail)
 
 
-def _thm3(extended: bool, a: _Analysis, tol, include_hk) -> CriterionReport:
+def _thm3(extended: bool, a: _Analysis, tol) -> CriterionReport:
     """Per-mode test of m2^2 <= bound * m3 over all unfoldings."""
     bound = (multi_canonical_bound if extended else multi_plain_bound)(a.dims)
     modes = []
     for mode in range(1, len(a.dims) + 1):
-        s = a.sigmas(extended, mode)
-        m2 = float(np.sum(s**2))
-        m3 = float(np.sum(s**3))
+        m2, m3 = _m2_m3(a.sigmas(extended, mode))
         quantity = m2 * m2
         rhs = bound * m3
         modes.append(
@@ -197,7 +211,7 @@ def _thm3(extended: bool, a: _Analysis, tol, include_hk) -> CriterionReport:
     )
 
 
-# name -> (bipartite only, fn(analysis, tol, include_hk)), in report order
+# name -> (bipartite only, fn(analysis, tol)), in report order
 _REGISTRY = {
     "ppt": (True, _ppt),
     "ccnr": (True, _ccnr),
@@ -212,21 +226,16 @@ _REGISTRY = {
 }
 
 
-def _run(
-    name: str, a: _Analysis, tol: float, include_hk: bool = False
-) -> CriterionReport:
+def _run(name: str, a: _Analysis, tol: float) -> CriterionReport:
     bipartite_only, fn = _REGISTRY[name]
     if bipartite_only and len(a.dims) != 2:
         raise NotBipartite(f"{name} applies to bipartite states")
-    return fn(a, tol, include_hk)
+    return fn(a, tol)
 
 
-def _pair(prefix, rho, tol, include_hk=False):
+def _pair(prefix, rho, tol):
     a = _Analysis(rho)
-    return (
-        _run(f"{prefix}-plain", a, tol, include_hk),
-        _run(f"{prefix}-canonical", a, tol, include_hk),
-    )
+    return _run(f"{prefix}-plain", a, tol), _run(f"{prefix}-canonical", a, tol)
 
 
 def theorem1(
@@ -237,19 +246,17 @@ def theorem1(
 
 
 def theorem2(
-    rho: DensityMatrix, tol: float = DEFAULT_TOL, include_hk: bool = False
+    rho: DensityMatrix, tol: float = DEFAULT_TOL
 ) -> tuple[CriterionReport, CriterionReport]:
-    """Positivity of the bound-substituted Hankel matrices.
+    """Positivity of the Hankel matrices B_l with a_1 replaced by the bound.
 
-    The quantity is the largest -lambda_min / max(1, max|M|) over the
-    decisive matrices M, and the bound is 0. By default only the B_hat
-    family is decisive: substituting the separable bound for a_1 enlarges
-    a diagonal entry of B_l (PSD is preserved for separables) but sits
-    off-diagonal in H_k, where the substitution is not monotone; H_k
-    results are reported in the detail and only count toward `violated`
-    with include_hk=True. The raw minimum eigenvalues are in the detail.
+    The quantity is max_l required_a1[l], the least a_1 that keeps B_l PSD
+    for l = 1..floor((d1 d2 - 1) / 2); the bound is dv_bound (plain) or
+    li_bound (canonical). required_a1 rises from a2^2 / a3 (thm1) to at
+    most a_1 (dv, li). detail holds substituted_a1, required_a1 and
+    b_min_eigenvalues = [lambda_min(B_1)].
     """
-    return _pair("thm2", rho, tol, include_hk)
+    return _pair("thm2", rho, tol)
 
 
 def theorem3(
@@ -290,7 +297,6 @@ def ccnr_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionRep
 def evaluate_all(
     rho: DensityMatrix,
     tol: float = DEFAULT_TOL,
-    include_hk: bool = False,
     names: list[str] | None = None,
 ) -> list[CriterionReport]:
     """Run the named criteria on one shared analysis of rho.
@@ -309,4 +315,4 @@ def evaluate_all(
     if missing:
         raise UnknownCriterion(f"unknown or inapplicable criteria: {missing}")
     a = _Analysis(rho)
-    return [_run(name, a, tol, include_hk) for name in names]
+    return [_run(name, a, tol) for name in names]

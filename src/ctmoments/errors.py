@@ -29,6 +29,10 @@ class ModeOutOfRange(CtmError):
     pass
 
 
+class InvalidCorrelationTensor(CtmError):
+    pass
+
+
 class NegativeSingularValue(CtmError):
     pass
 

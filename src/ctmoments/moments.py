@@ -8,14 +8,13 @@ of rows times columns of the correlation object), not sum sigma^0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor, prod
+from math import prod
 
 import numpy as np
 
+from .criteria import _Analysis
 from .errors import InsufficientMoments, NegativeSingularValue
-from .linalg import DensityMatrix
-
-SIGMA_FLOOR = 1e-300
+from .linalg import DensityMatrix, _require_bipartite
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,7 @@ def moment_vector(
         raise NegativeSingularValue(f"negative singular value in {s}")
     if K < 1:
         raise InsufficientMoments(f"K must be >= 1, got {K}")
-    values = np.empty(K + 1)
-    values[0] = a0
-    mask = s > SIGMA_FLOOR
-    logs = np.log(s[mask])
-    for k in range(1, K + 1):
-        values[k] = float(np.sum(np.exp(k * logs)))
+    values = np.array([a0] + [float(np.sum(s**k)) for k in range(1, K + 1)])
     return MomentVector(values=values, a0_convention=float(a0),
                         source=source, dims=tuple(dims))
 
@@ -78,9 +72,15 @@ def moments_of_state(
 
     K defaults to d1*d2, enough for every Hankel matrix below.
     """
-    from .criteria import _Analysis  # criteria imports this module
-
-    return _Analysis(rho).moments(canonical, K)
+    d1, d2 = _require_bipartite(rho)
+    if canonical:
+        a0 = float(d1 * d1 * d2 * d2)
+    else:
+        a0 = float((d1 * d1 - 1) * (d2 * d2 - 1))
+    return moment_vector(
+        _Analysis(rho).sigmas(canonical, 1), d1 * d2 if K is None else K, a0,
+        source="canonical" if canonical else "plain", dims=(d1, d2),
+    )
 
 
 def hankel_matrices(m: MomentVector, substituted_a1: float) -> HankelPair:
@@ -92,22 +92,15 @@ def hankel_matrices(m: MomentVector, substituted_a1: float) -> HankelPair:
     """
     D = prod(m.dims) if m.dims else m.order
     if m.order < D:
-        raise InsufficientMoments(
-            f"need moments up to order {D}, have {m.order}"
-        )
+        raise InsufficientMoments(f"need moments up to order {D}, have {m.order}")
 
-    def entry(idx: int) -> float:
-        return substituted_a1 if idx == 1 else m[idx]
+    def hankel(size: int, shift: int) -> np.ndarray:
+        return np.array([
+            [substituted_a1 if i + j + shift == 1 else m[i + j + shift]
+             for j in range(size)] for i in range(size)
+        ])
 
-    h_hat = []
-    for k in range(1, floor(D / 2) + 1):
-        h = np.array([[entry(i + j) for j in range(k + 1)] for i in range(k + 1)])
-        h_hat.append(h)
-    b_hat = []
-    for l in range(1, floor((D - 1) / 2) + 1):
-        b = np.array(
-            [[entry(i + j + 1) for j in range(l + 1)] for i in range(l + 1)]
-        )
-        b_hat.append(b)
+    h_hat = [hankel(k + 1, 0) for k in range(1, D // 2 + 1)]
+    b_hat = [hankel(l + 1, 1) for l in range(1, (D - 1) // 2 + 1)]
     return HankelPair(h_hat=h_hat, b_hat=b_hat,
                       substituted_a1=float(substituted_a1))

@@ -16,7 +16,7 @@ from ctmoments import (
 )
 from ctmoments.basis import gellmann_generators
 from ctmoments.bloch import reconstruct, reconstruct_bipartite
-from ctmoments.errors import ModeOutOfRange, TooFewParties
+from ctmoments.errors import CtmError, ModeOutOfRange, TooFewParties
 from ctmoments.states import random_density
 
 
@@ -143,6 +143,16 @@ def test_basis_order_invariance():
     shuffled = [[gens[i] for i in perm], gens]
     t = correlation_tensor(rho, bases=shuffled)
     np.testing.assert_allclose(singular_values(unfold(t, 1)), ref, atol=1e-10)
+
+
+def test_non_hermitian_basis_raises_ctm_error():
+    # an anti-Hermitian "generator" i*X makes the correlation entries imaginary
+    rho = random_density((2, 2), np.random.default_rng(19))
+    gens = gellmann_generators(2)
+    with pytest.raises(CtmError, match="not real"):
+        correlation_tensor(rho, bases=[[1j * gens[0]] + gens[1:], gens])
+    with pytest.raises(CtmError, match="extended"):
+        reconstruct(correlation_tensor(rho))
 
 
 def test_plain_unfolding_equals_T_block():

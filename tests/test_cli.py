@@ -62,7 +62,7 @@ def test_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     state = str(tmp_path / "b.json")
     run(capsys, "generate", "--family", "bell", "-o", state)
 
-    def fail(analysis, tol, include_hk):
+    def fail(analysis, tol):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setitem(criteria._REGISTRY, "ccnr", (True, fail))

@@ -91,17 +91,6 @@ def test_maximally_mixed_clean():
     assert not any(r.violated for r in reports)
 
 
-def test_include_hk_is_opt_in():
-    # H_hat_1 of the maximally mixed state is indefinite after substitution,
-    # so the H family must not count by default
-    rho = maximally_mixed((2, 2))
-    plain, _ = theorem2(rho)
-    assert not plain.violated
-    assert plain.detail["h_min_eigenvalues"][0] < 0
-    plain_hk, _ = theorem2(rho, include_hk=True)
-    assert plain_hk.violated
-
-
 def test_tiles_ppt_blind_ccnr_sees():
     rho = tiles_ppt()
     assert not ppt_criterion(rho).violated

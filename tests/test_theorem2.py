@@ -1,0 +1,154 @@
+"""Theorem 2 as a least-squares bound on a_1.
+
+B_l(beta) = [a_{m+n+1}] with a_1 replaced by beta is PSD exactly when
+beta >= v^T G^+ v, where G = [a_{i+j+1}] and v = [a_{j+1}] for
+i, j = 1..l (Schur complement of the corner entry). criteria._required_a1
+computes that value by a Lanczos recurrence; these tests hold it to exact
+rational arithmetic, to the eigenvalues of the Hankel matrices it
+replaces, and to the chain a2^2 / a3 <= required_a1 <= a_1.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctmoments import (
+    DensityMatrix,
+    dv_bound,
+    evaluate_all,
+    hankel_matrices,
+    li_bound,
+    mix_white_noise,
+    moments_of_state,
+    theorem2,
+    tiles_ppt,
+)
+from ctmoments.cli import find_threshold
+from ctmoments.criteria import _Analysis, _required_a1
+from ctmoments.states import random_density
+
+RATIONAL_SETS = {
+    "distinct": [Fraction(3, 7), Fraction(2, 9), Fraction(1, 5), Fraction(1, 11)],
+    "all-equal": [Fraction(1, 3)] * 4,
+    "with-zeros": [Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(1, 8)],
+    "spread": [Fraction(9, 10), Fraction(8, 10), Fraction(1, 100), Fraction(1, 1000)],
+    # two light nodes leave a small Lanczos residual one step before the end
+    "two-light": [Fraction(1), Fraction(1, 2), Fraction(1, 1000), Fraction(1, 2000)],
+    "harmonic": [Fraction(1, k) for k in range(2, 14)],
+}
+
+
+def _exact_required(sigmas, l):
+    """v^T G^+ v in rational arithmetic.
+
+    v lies in the range of the PSD matrix G, so v^T y is the same for every
+    solution y of G y = v; Gauss-Jordan elimination with the free variables
+    set to 0 yields one.
+    """
+    a = [sum(s**k for s in sigmas) for k in range(2 * l + 2)]
+    rows = [[a[i + j + 1] for j in range(1, l + 1)] + [a[i + 1]] for i in range(1, l + 1)]
+    pivots = []
+    r = 0
+    for c in range(l):
+        p = next((i for i in range(r, l) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i in range(l):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [e - f * q for e, q in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    y = [Fraction(0)] * l
+    for i, c in enumerate(pivots):
+        y[c] = rows[i][l]
+    return sum(a[j + 2] * y[j] for j in range(l))
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_SETS))
+def test_required_a1_matches_exact_schur_complement(name):
+    sigmas = RATIONAL_SETS[name]
+    steps = len(sigmas)
+    got = _required_a1(np.array([float(s) for s in sigmas]), steps)
+    for l in range(1, steps + 1):
+        want = float(_exact_required(sigmas, l))
+        assert abs(got[l - 1] - want) <= 1e-12 * want, (name, l, got[l - 1], want)
+
+
+def test_required_a1_agrees_with_hankel_eigenvalues():
+    # B_l(bound) has a negative eigenvalue exactly when bound < required_a1[l]
+    rng = np.random.default_rng(71)
+    checked = 0
+    for dims in [(2, 2), (2, 3)] * 20:
+        rho = random_density(dims, rng)
+        for canonical, report in zip((False, True), theorem2(rho)):
+            m = moments_of_state(rho, canonical=canonical)
+            pair = hankel_matrices(m, report.bound)
+            required = report.detail["required_a1"]
+            assert len(required) == len(pair.b_hat)
+            for b, req in zip(pair.b_hat, required):
+                if abs(req - report.bound) <= 1e-8:
+                    continue
+                checked += 1
+                assert (np.linalg.eigvalsh(b)[0] < 0) == (req > report.bound)
+    assert checked > 50
+
+
+def test_tiles_thresholds_per_order():
+    # white noise scales the plain tensor by x, so required_a1 scales by x
+    # and B_l(dv_bound) turns indefinite at x = dv_bound / required_a1[l]
+    plain, canon = theorem2(tiles_ppt())
+    assert plain.bound == plain.detail["substituted_a1"] == dv_bound(3, 3)
+    assert canon.bound == canon.detail["substituted_a1"] == li_bound(3, 3)
+    thresholds = [dv_bound(3, 3) / r for r in plain.detail["required_a1"]]
+    np.testing.assert_allclose(thresholds, [0.98733, 0.96558, 0.95412, 0.94929], atol=1e-5)
+
+
+def test_tiles_noise_thm2_threshold_is_exact():
+    # the l = 4 test reaches the dv threshold, although the least eigenvalue
+    # of B_4 there is far below tol * max|B_4|
+    base = tiles_ppt()
+    crossings, _ = find_threshold(
+        lambda x: mix_white_noise(base, x), "thm2-plain", 0.0, 1.0
+    )
+    assert len(crossings) == 1
+    assert abs(crossings[0] - 0.94929) <= 1e-5
+
+
+BIPARTITE = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from(BIPARTITE),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 4),
+    noise=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_required_a1_chain_and_detection_chain(dims, seed, rank, noise):
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    mat = g @ g.conj().T
+    rho = DensityMatrix(dims, mat / np.trace(mat).real)
+    if noise is not None:
+        rho = mix_white_noise(rho, noise)
+    a = _Analysis(rho)
+    steps = (d - 1) // 2
+    for canonical in (False, True):
+        s = a.sigmas(canonical, 1)
+        a1, a2, a3 = (float(np.sum(s**k)) for k in (1, 2, 3))
+        required = _required_a1(s, steps)
+        chain = ([a2 * a2 / a3] if a3 > 0 else []) + required + [a1]
+        for lo, hi in zip(chain, chain[1:]):
+            assert lo <= hi * (1 + 1e-12), (canonical, chain)
+    flagged = {r.name for r in evaluate_all(rho) if r.violated}
+    for strict, mid, loose in (("thm1-plain", "thm2-plain", "dv"),
+                               ("thm1-canonical", "thm2-canonical", "li")):
+        assert strict not in flagged or mid in flagged, flagged
+        assert mid not in flagged or loose in flagged, flagged
