@@ -1,8 +1,12 @@
 """The contraction kernel behind correlation-tensor construction.
 
-The expensive inner loop is the evaluation of all operator expectation
-values Tr(rho * A_1 (x) ... (x) A_n) over a product grid of per-mode
-operators. It contracts one mode at a time with numpy's einsum.
+It evaluates all expectation values Tr(rho * O_1 (x) ... (x) O_n) over a
+product grid of per-mode operators. rho is viewed as a (d_1^2, ..., d_n^2)
+array with the column and row index of each mode side by side, so that
+Tr(rho O) pairs rho[i, j] with O[j, i]. Each mode is then one matrix
+product of its flattened operator stack (m_k, d_k^2) with the current
+array folded to (d_k^2, rest), followed by a transpose that moves the new
+m_k axis to the back. After n steps the axes are (m_1, ..., m_n) again.
 """
 
 from __future__ import annotations
@@ -22,19 +26,10 @@ def expectation_tensor(
     composite indices row-major with mode 1 most significant.
     """
     n = len(dims)
-    d_total = int(np.prod(dims))
-    # x[a, I, J]: partial contraction over processed modes; starts as rho.
-    x = np.ascontiguousarray(rho, dtype=np.complex128).reshape(1, d_total, d_total)
-    counts: list[int] = []
-    rem = d_total
-    for k in range(n):
-        d = dims[k]
-        rem //= d
-        na = x.shape[0]
-        xr = np.ascontiguousarray(x.reshape(na, d, rem, d, rem))
-        ops = np.ascontiguousarray(op_stacks[k], dtype=np.complex128)
-        # out[a, m, r, s] = sum_ij ops[m, j, i] * xr[a, i, r, j, s]
-        x = np.einsum("mji,airjs->amrs", ops, xr, optimize=True)
-        x = x.reshape(na * ops.shape[0], rem, rem)
-        counts.append(ops.shape[0])
-    return x.reshape(tuple(counts))
+    x = np.asarray(rho, dtype=np.complex128).reshape(dims + dims)
+    # axes (j_1, i_1, ..., j_n, i_n): rho[i, j] meets O[j, i] in each mode
+    x = x.transpose([a for k in range(n) for a in (n + k, k)])
+    for ops, d in zip(op_stacks, dims):
+        ops = np.asarray(ops, dtype=np.complex128)
+        x = (ops.reshape(len(ops), d * d) @ x.reshape(d * d, -1)).T
+    return x.reshape([len(s) for s in op_stacks])

@@ -12,13 +12,14 @@ coincides with the canonical correlation matrix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from . import _kernels
 from .basis import extended_basis, gellmann_generators
-from .errors import InvalidCorrelationTensor, ModeOutOfRange, TooFewParties
+from .errors import InvalidCorrelationTensor, InvalidDimension, ModeOutOfRange, TooFewParties
 from .linalg import DensityMatrix, _require_bipartite
 
 REALITY_ATOL = 1e-9
@@ -59,6 +60,24 @@ def _real_part(raw: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(raw.real)
 
 
+def _mode_operators(d: int, gens) -> np.ndarray:
+    """The (d^2, d, d) stack I/d, gens[0]/2, gens[1]/2, ... of one mode."""
+    if len(gens) != d * d - 1 or any(np.shape(g) != (d, d) for g in gens):
+        raise InvalidDimension(f"d = {d} needs {d * d - 1} operators of shape ({d}, {d})")
+    ops = np.empty((d * d, d, d), dtype=np.complex128)
+    ops[0] = np.eye(d) / d
+    ops[1:] = np.asarray(gens, dtype=np.complex128) / 2.0
+    return ops
+
+
+@lru_cache(maxsize=None)
+def _gellmann_operators(d: int) -> np.ndarray:
+    """_mode_operators of the Gell-Mann basis, built once per d, read-only."""
+    ops = _mode_operators(d, gellmann_generators(d))
+    ops.flags.writeable = False
+    return ops
+
+
 def correlation_tensor(
     rho: DensityMatrix,
     extended: bool = False,
@@ -70,43 +89,26 @@ def correlation_tensor(
     over nonzero generator indices only. With extended=True index 0 of
     each mode is the identity and each entry carries the prefactor
     prod_{nonzero modes} d_k / (2^m prod_k d_k) with m the number of
-    nonzero indices.
+    nonzero indices. Both are products of 1/d_k per identity slot and 1/2
+    per generator slot, so the operators of each mode carry their factor
+    (cached per d) and one contraction yields the entries.
 
-    An explicit generator basis per mode may be supplied for testing;
-    it must use the same Tr(lam_i lam_j) = 2 delta_ij normalization.
+    An explicit basis of d_k^2 - 1 generators per mode may be supplied for
+    testing; it must use the same Tr(lam_i lam_j) = 2 delta_ij normalization.
     """
     dims = rho.dims
     n = rho.n_parties
     if n < 2:
         raise TooFewParties(f"correlation tensor needs >= 2 parties, got {n}")
     if bases is None:
-        gens = [gellmann_generators(d) for d in dims]
+        stacks = [_gellmann_operators(d) for d in dims]
+    elif len(bases) != n:
+        raise InvalidDimension(f"{len(bases)} bases supplied for {n} parties")
     else:
-        gens = bases
-    if extended:
-        stacks = [
-            np.stack([np.eye(d, dtype=np.complex128)] + list(g))
-            for d, g in zip(dims, gens)
-        ]
-    else:
-        stacks = [np.stack(list(g)) for g in gens]
-    raw = _kernels.expectation_tensor(rho.mat, stacks, dims)
-    entries = _real_part(raw)
-
-    d_total = prod(dims)
-    if extended:
-        # per-mode factor d_k/2 on nonzero indices, 1 on the identity slot
-        for k, d in enumerate(dims):
-            f = np.full(d * d, d / 2.0)
-            f[0] = 1.0
-            shape = [1] * n
-            shape[k] = d * d
-            entries = entries * f.reshape(shape)
-        entries = entries / d_total
-    else:
-        entries = entries / (2.0**n)
-    return CorrelationTensor(dims=dims, entries=np.ascontiguousarray(entries),
-                             extended=extended)
+        stacks = [_mode_operators(d, g) for d, g in zip(dims, bases)]
+    first = 0 if extended else 1
+    raw = _kernels.expectation_tensor(rho.mat, [s[first:] for s in stacks], dims)
+    return CorrelationTensor(dims=dims, entries=_real_part(raw), extended=extended)
 
 
 def decompose_bipartite(rho: DensityMatrix) -> BlochDecomposition:

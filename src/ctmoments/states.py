@@ -32,11 +32,8 @@ def werner(d: int, x: float) -> DensityMatrix:
         raise ParamOutOfRange(f"werner requires d >= 2, got {d}")
     if not -1.0 <= x <= 1.0:
         raise ParamOutOfRange(f"werner parameter x must lie in [-1, 1], got {x}")
-    flip = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            flip[i * d + j, j * d + i] = 1.0
     eye = np.eye(d * d, dtype=np.complex128)
+    flip = eye[np.arange(d * d).reshape(d, d).T.ravel()]  # F|i j> = |j i>
     mat = ((d - x) * eye + (d * x - 1) * flip) / (d**3 - d)
     return DensityMatrix((d, d), mat)
 

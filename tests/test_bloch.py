@@ -3,9 +3,11 @@ import pytest
 
 from ctmoments import (
     DensityMatrix,
+    bloch,
     canonical_matrix,
     correlation_tensor,
     decompose_bipartite,
+    evaluate_all,
     ghz,
     maximally_mixed,
     pure_product,
@@ -16,7 +18,7 @@ from ctmoments import (
 )
 from ctmoments.basis import gellmann_generators
 from ctmoments.bloch import reconstruct, reconstruct_bipartite
-from ctmoments.errors import CtmError, ModeOutOfRange, TooFewParties
+from ctmoments.errors import CtmError, InvalidDimension, ModeOutOfRange, TooFewParties
 from ctmoments.states import random_density
 
 
@@ -172,3 +174,40 @@ def test_tensor_entries_are_real():
         for extended in (False, True):
             t = correlation_tensor(rho, extended=extended)
             assert t.entries.dtype == np.float64
+
+
+def test_supplied_basis_of_wrong_size_raises():
+    rho = random_density((2, 3), np.random.default_rng(37))
+    g2, g3 = gellmann_generators(2), gellmann_generators(3)
+    for bases in (
+        [g2[:2], g3],  # too few operators: would give a short tensor
+        [g2, g3 + g3[:1]],  # too many
+        [g3[:3], g3],  # right count, wrong operator shape
+        [g2],  # one basis for two parties
+    ):
+        with pytest.raises(InvalidDimension):
+            correlation_tensor(rho, bases=bases)
+    assert issubclass(InvalidDimension, CtmError)
+
+
+def test_generators_built_once_per_dimension(monkeypatch):
+    calls = []
+    build = bloch.gellmann_generators
+
+    def counted(d):
+        calls.append(d)
+        return build(d)
+
+    monkeypatch.setattr(bloch, "gellmann_generators", counted)
+    bloch._gellmann_operators.cache_clear()
+    rng = np.random.default_rng(41)
+    for dims in [(3, 3), (3, 3), (2, 3)]:
+        evaluate_all(random_density(dims, rng))
+    assert sorted(calls) == [2, 3]
+
+
+def test_cached_operator_stacks_are_read_only():
+    ops = bloch._gellmann_operators(3)
+    for view in (ops, ops[1:]):
+        with pytest.raises(ValueError):
+            view[0, 0, 0] = 1.0

@@ -40,3 +40,18 @@ def test_ragged_stack_shapes():
     got = expectation_tensor(rho, stacks, (2, 3))
     assert got.shape == (2, 5)
     np.testing.assert_allclose(got, brute_force_expectations(rho, stacks), atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2)])
+def test_kernel_matches_brute_force_on_uneven_shapes(dims):
+    # unequal neighbouring dimensions catch a wrong axis order after the
+    # per-mode transposes, which equal dimensions would hide
+    rng = np.random.default_rng(31)
+    rho = random_density(dims, rng).mat
+    stacks = [
+        rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+        for m, d in zip((3, 5, 2), dims)
+    ]
+    got = expectation_tensor(rho, stacks, dims)
+    assert got.shape == tuple(len(s) for s in stacks)
+    np.testing.assert_allclose(got, brute_force_expectations(rho, stacks), atol=1e-12)

@@ -40,6 +40,18 @@ def test_werner_swap_symmetric():
         np.testing.assert_allclose(flip @ rho.mat @ flip, rho.mat, atol=1e-14)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_werner_matches_loop_built_flip_exactly(d):
+    flip = np.zeros((d * d, d * d), dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            flip[i * d + j, j * d + i] = 1.0
+    eye = np.eye(d * d, dtype=np.complex128)
+    for x in (-1.0, -0.3, 0.0, 0.7):
+        want = ((d - x) * eye + (d * x - 1) * flip) / (d**3 - d)
+        assert np.array_equal(werner(d, x).mat, want)
+
+
 def test_werner_flip_expectation():
     # Tr(rho F) = x is the defining property of the parametrization
     for d, x in [(2, 0.25), (3, -0.6), (4, 1.0)]:

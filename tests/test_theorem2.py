@@ -28,7 +28,7 @@ from ctmoments import (
 )
 from ctmoments.cli import find_threshold
 from ctmoments.criteria import _Analysis, _required_a1
-from ctmoments.states import random_density
+from ctmoments.states import random_density, random_pure_state
 
 RATIONAL_SETS = {
     "distinct": [Fraction(3, 7), Fraction(2, 9), Fraction(1, 5), Fraction(1, 11)],
@@ -118,6 +118,27 @@ def test_tiles_noise_thm2_threshold_is_exact():
     )
     assert len(crossings) == 1
     assert abs(crossings[0] - 0.94929) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "dims,seed,expected",
+    [((2, 2), 5, 0.89336), ((2, 3), 3, 0.43428), ((3, 3), 4, 0.30953), ((4, 4), 6, 0.30461)],
+)
+def test_noise_thm2_threshold_matches_closed_form(dims, seed, expected):
+    # white noise scales the plain tensor by x, so every required_a1[l]
+    # scales by x and thm2-plain turns on at dv_bound / max_l required_a1
+    # of the unmixed state; the bisection must land there, not just
+    # anywhere between the dv and thm1 thresholds
+    v = random_pure_state(dims[0] * dims[1], np.random.default_rng(seed))
+    base = DensityMatrix(dims, np.outer(v, v.conj()))
+    plain, _ = theorem2(base)
+    closed_form = dv_bound(*dims) / max(plain.detail["required_a1"])
+    crossings, _ = find_threshold(
+        lambda x: mix_white_noise(base, x), "thm2-plain", 0.0, 1.0
+    )
+    assert len(crossings) == 1
+    assert abs(crossings[0] - closed_form) <= 1e-5
+    assert abs(closed_form - expected) <= 1e-5
 
 
 BIPARTITE = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
