@@ -42,7 +42,3 @@ def gellmann_generators(d: int) -> list[np.ndarray]:
         gens.append(m)
     return gens
 
-
-def extended_basis(d: int) -> list[np.ndarray]:
-    """Identity followed by the su(d) generators (index 0 = I_d)."""
-    return [np.eye(d, dtype=np.complex128)] + gellmann_generators(d)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
 
 import numpy as np
 
 from . import _kernels
-from .basis import extended_basis, gellmann_generators
+from .basis import gellmann_generators
 from .errors import InvalidCorrelationTensor, InvalidDimension, ModeOutOfRange, TooFewParties
 from .linalg import DensityMatrix, _require_bipartite
 
@@ -147,31 +146,3 @@ def unfold(t: CorrelationTensor, mode: int) -> np.ndarray:
     arr = np.moveaxis(t.entries, mode - 1, 0)
     return np.ascontiguousarray(arr.reshape(arr.shape[0], -1))
 
-
-def reconstruct(t: CorrelationTensor) -> np.ndarray:
-    """Rebuild the density matrix from an extended correlation tensor."""
-    if not t.extended:
-        raise InvalidCorrelationTensor("reconstruction requires the extended tensor")
-    dims = t.dims
-    bases = [extended_basis(d) for d in dims]
-    d_total = prod(dims)
-    out = np.zeros((d_total, d_total), dtype=np.complex128)
-    for idx in np.ndindex(*t.entries.shape):
-        c = t.entries[idx]
-        if c == 0.0:
-            continue
-        op = bases[0][idx[0]]
-        for k in range(1, len(dims)):
-            op = np.kron(op, bases[k][idx[k]])
-        out += c * op
-    return out
-
-
-def reconstruct_bipartite(dec: BlochDecomposition) -> np.ndarray:
-    """Rebuild rho from r, s, T via the bipartite Bloch expansion."""
-    t = CorrelationTensor(
-        dims=(dec.d1, dec.d2),
-        entries=canonical_matrix(dec),
-        extended=True,
-    )
-    return reconstruct(t)

@@ -13,11 +13,15 @@ import sys
 import numpy as np
 
 from . import criteria, io, states
-from .errors import CtmError, NonScalarFamily
+from .errors import CtmError
 
 
 def _seed() -> int:
-    return int(os.environ.get("CTM_SEED", "0"))
+    text = os.environ.get("CTM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CtmError(f"CTM_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -30,61 +34,30 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _build_family(args) -> tuple["states.DensityMatrix", dict]:
-    family = args.family
-    params: dict = {}
-    if family == "werner":
-        if args.d is None or args.x is None:
-            raise CtmError("werner requires --d and --x")
-        rho = states.werner(args.d, args.x)
-        params = {"d": args.d, "x": args.x}
-    elif family in ("tiles-ppt", "tiles"):
-        rho = states.tiles_ppt()
-    elif family == "ghz":
-        if args.n is None:
-            raise CtmError("ghz requires --n")
-        rho = states.ghz(args.n)
-        params = {"n": args.n}
-    elif family == "w":
-        if args.n is None:
-            raise CtmError("w requires --n")
-        rho = states.w_state(args.n)
-        params = {"n": args.n}
-    elif family == "bell":
-        rho = states.bell()
-    elif family == "maximally-mixed":
-        if args.dims is None:
-            raise CtmError("maximally-mixed requires --dims")
-        dims = _parse_dims(args.dims)
-        rho = states.maximally_mixed(dims)
-        params = {"dims": list(dims)}
-    elif family == "pure-product":
-        if args.dims is None:
-            raise CtmError("pure-product requires --dims")
-        dims = _parse_dims(args.dims)
-        rng = np.random.default_rng(_seed())
-        rho = states.random_pure_product(dims, rng)
-        params = {"dims": list(dims), "seed": _seed()}
-    else:
-        raise CtmError(f"unknown family {family!r}")
-    if args.noise is not None:
-        rho = states.mix_white_noise(rho, args.noise)
-        params["noise"] = args.noise
-    return rho, {"family": family, "params": params}
+def _family_params(args, names) -> dict:
+    """Values of the named family parameters: their flags, CTM_SEED for seed."""
+    params = {p: _seed() if p == "seed" else getattr(args, p) for p in names}
+    missing = [f"--{p}" for p, value in params.items() if value is None]
+    if missing:
+        raise CtmError(f"{args.family} requires {' and '.join(missing)}")
+    if "dims" in params:
+        params["dims"] = _parse_dims(params["dims"])
+    return params
 
 
 def cmd_generate(args) -> int:
-    rho, meta = _build_family(args)
-    io.save_state(args.output, rho, meta=meta)
+    names, build = states.FAMILIES[args.family]
+    params = _family_params(args, names)
+    rho = build(**params)
+    if args.noise is not None:
+        rho = states.mix_white_noise(rho, args.noise)
+        params["noise"] = args.noise
+    io.save_state(args.output, rho, meta={"family": args.family, "params": params})
     return 0
 
 
 def cmd_analyze(args) -> int:
-    try:
-        rho, meta = io.load_state(args.input)
-    except (OSError, io.StateFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rho, meta = io.load_state(args.input)
     names = None
     if args.criteria != "all":
         names = [p.strip() for p in args.criteria.split(",") if p.strip()]
@@ -138,26 +111,18 @@ def find_threshold(
 
 
 def cmd_threshold(args) -> int:
-    family = args.family
-    if family in ("tiles-noise", "tiles"):
-        lo, hi = 0.0, 1.0
-        tiles = states.tiles_ppt()
-        state_at = lambda x: states.mix_white_noise(tiles, x)
-        params = {}
-    elif family == "werner":
-        if args.d is None:
-            raise CtmError("werner requires --d")
-        lo, hi = -1.0, 1.0
-        d = args.d
-        state_at = lambda x: states.werner(d, x)
-        params = {"d": d}
-    else:
-        raise NonScalarFamily(
-            f"family {family!r} has no scalar sweep parameter; "
-            "use 'tiles-noise' or 'werner'"
-        )
-    if args.precision < 1e-8:
+    if not args.precision >= 1e-8:
         raise CtmError(f"precision must be >= 1e-8, got {args.precision}")
+    names, build = states.FAMILIES[args.family]
+    if "x" in names:  # werner: its own parameter x, over [-1, 1]
+        params = _family_params(args, [p for p in names if p != "x"])
+        lo, hi = -1.0, 1.0
+        state_at = lambda x: build(**params, x=x)
+    else:  # any other family: its white-noise level, from the one base state
+        params = _family_params(args, names)
+        base = build(**params)
+        lo, hi = 0.0, 1.0
+        state_at = lambda x: states.mix_white_noise(base, x)
     crossings, brackets = find_threshold(
         state_at, args.criterion, lo, hi, tol=args.tol, precision=args.precision
     )
@@ -169,7 +134,7 @@ def cmd_threshold(args) -> int:
             file=sys.stderr,
         )
     payload = {
-        "family": family,
+        "family": args.family,
         "params": params,
         "criterion": args.criterion,
         "precision": args.precision,
@@ -188,12 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def family_flags(p):
+        p.add_argument("--family", required=True, choices=states.FAMILIES)
+        p.add_argument("--d", type=int, help="subsystem dimension (werner)")
+        p.add_argument("--n", type=int, help="number of parties (ghz, w)")
+        p.add_argument("--dims", help="comma-separated dims (mixed/product families)")
+
     gen = sub.add_parser("generate", help="write a state file for a named family")
-    gen.add_argument("--family", required=True, choices=states.FAMILY_NAMES)
-    gen.add_argument("--d", type=int, help="subsystem dimension (werner)")
+    family_flags(gen)
     gen.add_argument("--x", type=float, help="werner mixing parameter")
-    gen.add_argument("--n", type=int, help="number of parties (ghz, w)")
-    gen.add_argument("--dims", help="comma-separated dims (mixed/product families)")
     gen.add_argument("--noise", type=float, help="white-noise level x in [0, 1]")
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(fn=cmd_generate)
@@ -206,12 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--output", help="write the JSON report here instead of stdout")
     ana.set_defaults(fn=cmd_analyze)
 
-    thr = sub.add_parser("threshold",
-                         help="locate the detection threshold of a noise family")
-    thr.add_argument("--family", required=True,
-                     help="'tiles-noise' or 'werner'")
+    thr = sub.add_parser(
+        "threshold",
+        help="locate a detection threshold: werner along x, any other family "
+        "under white noise",
+    )
+    family_flags(thr)
     thr.add_argument("--criterion", required=True)
-    thr.add_argument("--d", type=int, help="subsystem dimension (werner)")
     thr.add_argument("--precision", type=float, default=1e-5)
     thr.add_argument("--tol", type=float, default=criteria.DEFAULT_TOL)
     thr.set_defaults(fn=cmd_threshold)
@@ -223,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CtmError, io.StateFileError) as exc:
+    except (CtmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

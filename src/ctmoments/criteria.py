@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import prod, sqrt
+from math import isfinite, prod, sqrt
 
 import numpy as np
 
 from .bloch import CorrelationTensor, correlation_tensor, unfold
-from .errors import NotBipartite, UnknownCriterion
+from .errors import NotBipartite, ParamOutOfRange, UnknownCriterion
 from .linalg import (
     DensityMatrix,
     hermitian_eigenvalues,
@@ -93,7 +93,13 @@ class _Analysis:
         return CorrelationTensor(dims=self.dims, entries=plain, extended=False)
 
     def sigmas(self, extended: bool, mode: int) -> np.ndarray:
-        """Singular values of the mode-k unfolding of T~ (extended) or T."""
+        """Singular values of the mode-k unfolding of T~ (extended) or T.
+
+        At n = 2 the mode-2 unfolding is the transpose of mode 1, so both
+        modes share one SVD.
+        """
+        if len(self.dims) == 2:
+            mode = 1
         key = (extended, mode)
         if key not in self._sigmas:
             self._sigmas[key] = singular_values(unfold(self.tensor(extended), mode))
@@ -227,6 +233,8 @@ _REGISTRY = {
 
 
 def _run(name: str, a: _Analysis, tol: float) -> CriterionReport:
+    if not (isfinite(tol) and tol >= 0):
+        raise ParamOutOfRange(f"tol must be finite and >= 0, got {tol}")
     bipartite_only, fn = _REGISTRY[name]
     if bipartite_only and len(a.dims) != 2:
         raise NotBipartite(f"{name} applies to bipartite states")

@@ -51,7 +51,3 @@ class UnnormalizedVector(CtmError):
 
 class UnknownCriterion(CtmError):
     pass
-
-
-class NonScalarFamily(CtmError):
-    pass

@@ -15,12 +15,13 @@ from math import prod
 
 import numpy as np
 
+from .errors import CtmError
 from .linalg import DensityMatrix
 
 STATE_FILE_VERSION = 1
 
 
-class StateFileError(ValueError):
+class StateFileError(CtmError):
     pass
 
 
@@ -72,7 +73,7 @@ def load_state(path: str) -> tuple[DensityMatrix, dict | None]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
             raise StateFileError(f"invalid JSON: {exc}") from None
     return state_from_dict(data)
 

@@ -10,17 +10,6 @@ import numpy as np
 from .errors import ParamOutOfRange, UnnormalizedVector
 from .linalg import DensityMatrix
 
-FAMILY_NAMES = (
-    "werner",
-    "tiles-ppt",
-    "ghz",
-    "w",
-    "pure-product",
-    "maximally-mixed",
-    "bell",
-)
-
-
 def maximally_mixed(dims) -> DensityMatrix:
     d = prod(dims)
     return DensityMatrix(tuple(dims), np.eye(d, dtype=np.complex128) / d)
@@ -134,3 +123,22 @@ def random_density(dims, rng: np.random.Generator) -> DensityMatrix:
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
     return DensityMatrix(tuple(dims), mat)
+
+
+# name -> (parameter names, constructor taking them by keyword), the named
+# families of the CLI. Each constructor is a lambda rather than the public
+# function itself: a tracer that rebinds module functions and the direct
+# values of module-level dicts cannot reach a function nested in a tuple,
+# so storing e.g. `werner` here would leave an unwrapped binding behind.
+FAMILIES = {
+    "werner": (("d", "x"), lambda d, x: werner(d, x)),
+    "tiles-ppt": ((), lambda: tiles_ppt()),
+    "ghz": (("n",), lambda n: ghz(n)),
+    "w": (("n",), lambda n: w_state(n)),
+    "pure-product": (
+        ("dims", "seed"),
+        lambda dims, seed: random_pure_product(dims, np.random.default_rng(seed)),
+    ),
+    "maximally-mixed": (("dims",), lambda dims: maximally_mixed(dims)),
+    "bell": ((), lambda: bell()),
+}

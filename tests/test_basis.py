@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ctmoments.basis import extended_basis, gellmann_generators
+from ctmoments.basis import gellmann_generators
+from ctmoments.bloch import _gellmann_operators
 from ctmoments.errors import InvalidDimension
 
 PAULIS = [
@@ -55,7 +56,9 @@ def test_expansion_completeness(d):
     np.testing.assert_allclose(rebuilt, h, atol=1e-12)
 
 
-def test_extended_basis_leads_with_identity():
-    b = extended_basis(3)
-    assert len(b) == 9
-    np.testing.assert_allclose(b[0], np.eye(3))
+def test_extended_operator_stack_leads_with_identity():
+    # the extended tensor's operators: I/d, then each generator / 2
+    ops = _gellmann_operators(3)
+    assert ops.shape == (9, 3, 3)
+    np.testing.assert_allclose(ops[0], np.eye(3) / 3)
+    np.testing.assert_allclose(ops[1:], np.asarray(gellmann_generators(3)) / 2)

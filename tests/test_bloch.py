@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ctmoments import (
+    BlochDecomposition,
+    CorrelationTensor,
     DensityMatrix,
     bloch,
     canonical_matrix,
@@ -17,9 +19,32 @@ from ctmoments import (
     werner,
 )
 from ctmoments.basis import gellmann_generators
-from ctmoments.bloch import reconstruct, reconstruct_bipartite
 from ctmoments.errors import CtmError, InvalidDimension, ModeOutOfRange, TooFewParties
 from ctmoments.states import random_density
+
+
+def reconstruct(t: CorrelationTensor) -> np.ndarray:
+    """Brute-force inverse of the extended tensor: sum of c_idx * (x)_k B_idx_k.
+
+    B_0 = I and B_a = lam_a per mode, so each entry multiplies one Kronecker
+    product of basis operators.
+    """
+    assert t.extended
+    bases = [[np.eye(d, dtype=np.complex128)] + gellmann_generators(d) for d in t.dims]
+    d_total = int(np.prod(t.dims))
+    out = np.zeros((d_total, d_total), dtype=np.complex128)
+    for idx in np.ndindex(*t.entries.shape):
+        op = np.array([[1.0 + 0j]])
+        for k, i in enumerate(idx):
+            op = np.kron(op, bases[k][i])
+        out += t.entries[idx] * op
+    return out
+
+
+def reconstruct_bipartite(dec: BlochDecomposition) -> np.ndarray:
+    """Rebuild rho from r, s, T via the canonical correlation matrix."""
+    t = CorrelationTensor(dims=(dec.d1, dec.d2), entries=canonical_matrix(dec), extended=True)
+    return reconstruct(t)
 
 
 def test_maximally_mixed_has_zero_bloch_coefficients():
@@ -153,8 +178,6 @@ def test_non_hermitian_basis_raises_ctm_error():
     gens = gellmann_generators(2)
     with pytest.raises(CtmError, match="not real"):
         correlation_tensor(rho, bases=[[1j * gens[0]] + gens[1:], gens])
-    with pytest.raises(CtmError, match="extended"):
-        reconstruct(correlation_tensor(rho))
 
 
 def test_plain_unfolding_equals_T_block():

@@ -2,8 +2,9 @@ import json
 from math import ceil, log2
 
 import numpy as np
+import pytest
 
-from ctmoments import _kernels, criteria, states
+from ctmoments import _kernels, criteria, io, states
 from ctmoments.cli import find_threshold, main
 
 
@@ -70,6 +71,25 @@ def test_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and out == "" and "did not converge" in err
 
 
+def test_analyze_nan_tol_exits_2(tmp_path, capsys):
+    # a nan tol makes every `margin > tol` false: a silent "not violated"
+    state = str(tmp_path / "b.json")
+    run(capsys, "generate", "--family", "bell", "-o", state)
+    code, out, err = run(capsys, "analyze", state, "--tol", "nan")
+    assert code == 2 and out == "" and "tol" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent"
+    code, _, err = run(capsys, "generate", "--family", "bell",
+                       "-o", str(missing / "x.json"))
+    assert code == 2 and err.startswith("error:")
+    state = str(tmp_path / "b.json")
+    run(capsys, "generate", "--family", "bell", "-o", state)
+    code, out, err = run(capsys, "analyze", state, "--output", str(missing / "r.json"))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_analyze_unknown_criterion(tmp_path, capsys):
     state = str(tmp_path / "b.json")
     run(capsys, "generate", "--family", "bell", "-o", state)
@@ -84,9 +104,17 @@ def test_analyze_missing_file(tmp_path, capsys):
 
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{broken")
-    code, _, _ = run(capsys, "analyze", str(path))
-    assert code == 2
+    for content in (b"{broken", b"\xff\xfe\x00"):  # bad JSON, bad UTF-8
+        path.write_bytes(content)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2 and err.startswith("error:"), content
+
+
+def test_generate_rejects_non_integer_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CTM_SEED", "abc")
+    code, _, err = run(capsys, "generate", "--family", "pure-product",
+                       "--dims", "2,2", "-o", str(tmp_path / "p.json"))
+    assert code == 2 and "CTM_SEED" in err
 
 
 def test_analyze_non_state_file(tmp_path, capsys):
@@ -122,6 +150,25 @@ def test_generate_pure_product_seeded(tmp_path, capsys, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
     meta = json.loads(a.read_text())["meta"]
     assert meta["params"]["seed"] == 11
+
+
+SAMPLE_FLAGS = {"d": "3", "x": "-0.5", "n": "3", "dims": "2,3"}
+
+
+@pytest.mark.parametrize("family", sorted(states.FAMILIES))
+def test_every_family_generates(family, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CTM_SEED", "7")
+    names, build = states.FAMILIES[family]
+    path = tmp_path / "s.json"
+    argv = ["generate", "--family", family, "-o", str(path)]
+    for p in names:
+        if p != "seed":
+            argv += [f"--{p}", SAMPLE_FLAGS[p]]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    rho, meta = io.load_state(str(path))
+    assert meta["family"] == family and list(meta["params"]) == list(names)
+    assert np.array_equal(rho.mat, build(**meta["params"]).mat)
 
 
 def test_generate_ghz_with_noise(tmp_path, capsys):
@@ -169,16 +216,38 @@ def test_threshold_reuses_coarse_grid_margins():
     assert len(calls) == grid + bisections
 
 
-def test_threshold_requires_scalar_family(capsys):
-    code, _, err = run(capsys, "threshold", "--family", "ghz",
-                       "--criterion", "dv")
-    assert code == 2 and "scalar" in err
+def threshold_of(capsys, *argv):
+    code, out, err = run(capsys, "threshold", *argv)
+    assert code == 0, err
+    return json.loads(out)["threshold"]
+
+
+def test_threshold_ghz_dv_under_noise(capsys):
+    # white noise scales the plain tensor, T(x) = x T(1), so dv's trace norm
+    # is x * quantity and crosses its bound at x = bound / quantity
+    rep = criteria.dv_criterion(states.ghz(3))
+    want = rep.bound / rep.quantity
+    assert abs(want - 1 / (2 * np.sqrt(2))) < 1e-12
+    got = threshold_of(capsys, "--family", "ghz", "--n", "3", "--criterion", "dv")
+    assert abs(got - want) < 1e-5
+
+
+def test_threshold_w_thm3_plain_under_noise(capsys):
+    # per mode, x^4 m2^2 > bound x^3 m3 for x > bound m3 / m2^2; the state is
+    # flagged once any mode flags it
+    plain, _ = criteria.theorem3(states.w_state(3))
+    want = min(m["bound"] / m["quantity"] for m in plain.detail["modes"])
+    assert abs(want - 0.31776) < 1e-5
+    got = threshold_of(capsys, "--family", "w", "--n", "3",
+                       "--criterion", "thm3-plain")
+    assert abs(got - want) < 1e-5
 
 
 def test_threshold_rejects_tiny_precision(capsys):
-    code, _, _ = run(capsys, "threshold", "--family", "werner", "--d", "2",
-                     "--criterion", "ppt", "--precision", "1e-12")
-    assert code == 2
+    for precision in ("1e-12", "nan"):
+        code, _, _ = run(capsys, "threshold", "--family", "werner", "--d", "2",
+                         "--criterion", "ppt", "--precision", precision)
+        assert code == 2, precision
 
 
 def test_threshold_werner_missing_d(capsys):

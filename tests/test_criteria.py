@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctmoments import _kernels
+from ctmoments import _kernels, criteria
 from ctmoments import (
     bell,
     ccnr_criterion,
@@ -24,7 +24,7 @@ from ctmoments import (
 )
 from ctmoments.cli import criterion_margin
 from ctmoments.criteria import DEFAULT_TOL
-from ctmoments.errors import NotBipartite
+from ctmoments.errors import NotBipartite, ParamOutOfRange
 from ctmoments.states import random_density, random_separable
 
 
@@ -174,6 +174,35 @@ def test_one_tensor_build_per_evaluate_all(monkeypatch):
         calls.clear()
         evaluate_all(random_density(dims, rng))
         assert len(calls) == 1, dims
+
+
+def test_one_svd_per_distinct_unfolding(monkeypatch):
+    # at n = 2 mode 2 is the transpose of mode 1: one SVD each for T and T~
+    shapes = []
+    svd = criteria.singular_values
+
+    def counted(m):
+        shapes.append(m.shape)
+        return svd(m)
+
+    monkeypatch.setattr(criteria, "singular_values", counted)
+    rng = np.random.default_rng(61)
+    for dims, want in [((3, 3), [(8, 8), (9, 9)]), ((2, 3), [(3, 8), (4, 9)]),
+                       ((2, 2, 2), [(3, 9)] * 3 + [(4, 16)] * 3)]:
+        shapes.clear()
+        evaluate_all(random_density(dims, rng))
+        assert sorted(shapes) == sorted(want), dims
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_invalid_tol_raises(tol):
+    rho = maximally_mixed((2, 2))
+    with pytest.raises(ParamOutOfRange):
+        evaluate_all(rho, tol=tol)
+    for fn in (theorem1, theorem2, theorem3, dv_criterion, li_criterion,
+               ppt_criterion, ccnr_criterion):
+        with pytest.raises(ParamOutOfRange):
+            fn(rho, tol=tol)
 
 
 def test_local_unitary_invariance():

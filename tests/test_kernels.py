@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctmoments._kernels import expectation_tensor
-from ctmoments.basis import extended_basis
+from ctmoments.basis import gellmann_generators
 from ctmoments.states import random_density
 
 
@@ -24,7 +24,7 @@ def brute_force_expectations(rho, op_stacks):
 def test_numpy_kernel_matches_brute_force(dims):
     rng = np.random.default_rng(sum(dims))
     rho = random_density(dims, rng).mat
-    op_stacks = [np.stack(extended_basis(d)) for d in dims]
+    op_stacks = [np.stack([np.eye(d)] + gellmann_generators(d)) for d in dims]
     got = expectation_tensor(rho, op_stacks, tuple(dims))
     want = brute_force_expectations(rho, op_stacks)
     np.testing.assert_allclose(got, want, atol=1e-12)

@@ -16,7 +16,7 @@ from ctmoments import (
 )
 from ctmoments.errors import ParamOutOfRange, UnnormalizedVector
 from ctmoments.states import (
-    FAMILY_NAMES,
+    FAMILIES,
     random_density,
     random_pure_product,
     random_separable,
@@ -24,7 +24,7 @@ from ctmoments.states import (
 
 
 def test_family_names():
-    assert set(FAMILY_NAMES) == {
+    assert set(FAMILIES) == {
         "werner", "tiles-ppt", "ghz", "w", "pure-product",
         "maximally-mixed", "bell",
     }
