@@ -15,13 +15,18 @@ import numpy as np
 from . import criteria, io, states
 from .errors import CtmError
 
+COARSE_STEP = 1e-2  # find_threshold's grid step before bisection
+
 
 def _seed() -> int:
     text = os.environ.get("CTM_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise CtmError(f"CTM_SEED must be an integer, got {text!r}") from None
+        seed = -1
+    if seed < 0:
+        raise CtmError(f"CTM_SEED must be an integer >= 0, got {text!r}")
+    return seed
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -82,15 +87,14 @@ def criterion_margin(rho, name, tol) -> float:
 
 
 def find_threshold(
-    state_at, criterion, lo, hi, tol=criteria.DEFAULT_TOL,
-    precision=1e-5, coarse_step=1e-2,
+    state_at, criterion, lo, hi, tol=criteria.DEFAULT_TOL, precision=1e-5
 ):
     """Bracket sign changes of the margin on a coarse grid, then bisect.
 
     Returns (crossings, brackets): refined crossing points and the coarse
     brackets they came from. state_at maps the scalar parameter to a state.
     """
-    n_steps = int(round((hi - lo) / coarse_step))
+    n_steps = int(round((hi - lo) / COARSE_STEP))
     xs = np.linspace(lo, hi, n_steps + 1)
     gs = [criterion_margin(state_at(x), criterion, tol) for x in xs]
     crossings, brackets = [], []

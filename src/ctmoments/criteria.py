@@ -16,7 +16,7 @@ the public functions are thin wrappers over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from math import isfinite, prod, sqrt
 
@@ -46,33 +46,26 @@ class CriterionReport:
     bound: float
     violated: bool
     margin: float
-    detail: dict | None = field(default=None)
+    detail: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "quantity": self.quantity,
-            "bound": self.bound,
-            "violated": self.violated,
-            "margin": self.margin,
-            "detail": self.detail,
-        }
-
-
-def dv_bound(d1: int, d2: int) -> float:
-    return sqrt((d1 * d1 - d1) * (d2 * d2 - d2)) / (2 * d1 * d2)
-
-
-def li_bound(d1: int, d2: int) -> float:
-    return sqrt((2 + d1 * d1 - d1) * (2 + d2 * d2 - d2)) / (2 * d1 * d2)
+        return asdict(self)
 
 
 def multi_plain_bound(dims) -> float:
-    return prod(sqrt((d - 1) / (2 * d)) for d in dims)
+    return sqrt(prod(d - 1 for d in dims) / prod(2 * d for d in dims))
 
 
 def multi_canonical_bound(dims) -> float:
-    return prod(sqrt((d * d - d + 2) / (2 * d * d)) for d in dims)
+    return sqrt(prod(d * d - d + 2 for d in dims) / prod(2 * d * d for d in dims))
+
+
+def dv_bound(d1: int, d2: int) -> float:
+    return multi_plain_bound((d1, d2))
+
+
+def li_bound(d1: int, d2: int) -> float:
+    return multi_canonical_bound((d1, d2))
 
 
 class _Analysis:
@@ -81,6 +74,8 @@ class _Analysis:
     def __init__(self, rho: DensityMatrix):
         self.rho = rho
         self.dims = rho.dims
+        # the separable bound on every unfolding's trace norm, indexed by extended
+        self.bounds = (multi_plain_bound(self.dims), multi_canonical_bound(self.dims))
         self._extended: CorrelationTensor | None = None
         self._sigmas: dict[tuple[bool, int], np.ndarray] = {}
 
@@ -136,9 +131,7 @@ def _trace_norm_test(extended: bool, a: _Analysis, tol) -> CriterionReport:
     norm = max(
         float(np.sum(a.sigmas(extended, k))) for k in range(1, len(a.dims) + 1)
     )
-    if extended:
-        return _report("li", norm, multi_canonical_bound(a.dims), tol)
-    return _report("dv", norm, multi_plain_bound(a.dims), tol)
+    return _report("li" if extended else "dv", norm, a.bounds[extended], tol)
 
 
 def _m2_m3(s: np.ndarray) -> tuple[float, float]:
@@ -146,10 +139,15 @@ def _m2_m3(s: np.ndarray) -> tuple[float, float]:
     return float(np.sum(s * s)), float(np.sum(s * s * s))
 
 
+def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[float, float]:
+    """(m2^2, bound * m3) of the mode-k unfolding; separable states keep <=."""
+    m2, m3 = _m2_m3(a.sigmas(extended, mode))
+    return m2 * m2, a.bounds[extended] * m3
+
+
 def _thm1(canonical: bool, a: _Analysis, tol) -> CriterionReport:
-    m2, m3 = _m2_m3(a.sigmas(canonical, 1))
-    bound = (li_bound if canonical else dv_bound)(*a.dims)
-    return _report(f"thm1-{_kind(canonical)}", m2 * m2, bound * m3, tol)
+    quantity, bound = _moment_sides(canonical, a, 1)
+    return _report(f"thm1-{_kind(canonical)}", quantity, bound, tol)
 
 
 def _required_a1(s: np.ndarray, steps: int) -> list[float]:
@@ -183,10 +181,9 @@ def _required_a1(s: np.ndarray, steps: int) -> list[float]:
 
 def _thm2(canonical: bool, a: _Analysis, tol) -> CriterionReport:
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
-    d1, d2 = a.dims
     s = a.sigmas(canonical, 1)
-    bound = (li_bound if canonical else dv_bound)(d1, d2)
-    required = _required_a1(s, (d1 * d2 - 1) // 2)
+    bound = a.bounds[canonical]
+    required = _required_a1(s, (a.rho.dim - 1) // 2)
     # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
     # sign is that of -(thm1 margin), computed from the same sums
     m2, m3 = _m2_m3(s)
@@ -201,12 +198,9 @@ def _thm2(canonical: bool, a: _Analysis, tol) -> CriterionReport:
 
 def _thm3(extended: bool, a: _Analysis, tol) -> CriterionReport:
     """Per-mode test of m2^2 <= bound * m3 over all unfoldings."""
-    bound = (multi_canonical_bound if extended else multi_plain_bound)(a.dims)
     modes = []
     for mode in range(1, len(a.dims) + 1):
-        m2, m3 = _m2_m3(a.sigmas(extended, mode))
-        quantity = m2 * m2
-        rhs = bound * m3
+        quantity, rhs = _moment_sides(extended, a, mode)
         modes.append(
             {"mode": mode, "quantity": quantity, "bound": rhs, "margin": quantity - rhs}
         )
@@ -310,8 +304,8 @@ def evaluate_all(
     """Run the named criteria on one shared analysis of rho.
 
     names defaults to every criterion that applies to rho, in registry
-    order; a name that is unknown or needs a bipartite state raises
-    UnknownCriterion before anything is computed.
+    order; an empty list, or a name that is unknown or needs a bipartite
+    state, raises UnknownCriterion before anything is computed.
     """
     applicable = [
         name for name, (bipartite_only, _) in _REGISTRY.items()
@@ -319,6 +313,8 @@ def evaluate_all(
     ]
     if names is None:
         names = applicable
+    if not names:
+        raise UnknownCriterion("no criteria named")
     missing = [name for name in names if name not in applicable]
     if missing:
         raise UnknownCriterion(f"unknown or inapplicable criteria: {missing}")

@@ -13,6 +13,14 @@ class NotHermitian(CtmError):
     pass
 
 
+class NotNormalized(CtmError):
+    pass
+
+
+class NotPositive(CtmError):
+    pass
+
+
 class NotBipartite(CtmError):
     pass
 

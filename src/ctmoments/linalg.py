@@ -11,9 +11,13 @@ from math import prod
 
 import numpy as np
 
-from .errors import NonSquare, NotBipartite, NotHermitian
+from .errors import InvalidDimension, NonSquare, NotBipartite, NotHermitian
+from .errors import NotNormalized, NotPositive
 
-HERMITICITY_RTOL = 1e-10
+# the validation rules for any M: max|M - M^dag| <= HERMITICITY_RTOL * scale
+# and lambda_min >= -PSD_ATOL * scale, with scale = max(1, max|M|); a density
+# matrix also needs |Tr M - 1| <= TRACE_ATOL
+HERMITICITY_RTOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
 
@@ -23,21 +27,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def _check_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
+def _check_hermitian(m: np.ndarray) -> float:
+    """Raise unless m is square, finite and Hermitian; return its scale."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    defect = _hermiticity_defect(m)
-    if defect > rtol * scale:
+    if not np.isfinite(m).all():
+        raise NotHermitian("matrix contains NaN or Inf entries")
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    defect = float(np.abs(m - m.conj().T).max(initial=0.0))
+    if defect > HERMITICITY_RTOL * scale:
         raise NotHermitian(
             f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
-            f"exceeds {rtol:.1e} * {scale:.3e}"
+            f"exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}"
         )
+    return scale
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -58,9 +62,8 @@ def trace_norm(m: np.ndarray) -> float:
 
 def is_psd(m: np.ndarray, tol: float = PSD_ATOL) -> bool:
     """True iff the minimum eigenvalue is >= -tol * max(1, max|m|)."""
-    eig = hermitian_eigenvalues(m)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    return bool(eig[-1] >= -tol * scale)
+    scale = _check_hermitian(m)
+    return bool(np.all(np.linalg.eigvalsh(m) >= -tol * scale))
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,8 @@ class DensityMatrix:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if any(d < 2 for d in dims):
-            raise NotBipartite(f"subsystem dimensions must all be >= 2, got {dims}")
+        if not dims or any(d < 2 for d in dims):
+            raise InvalidDimension(f"dims must be non-empty and all >= 2, got {dims}")
         m = np.ascontiguousarray(np.asarray(self.mat, dtype=np.complex128))
         object.__setattr__(self, "mat", m)
         dim = prod(dims)
@@ -87,20 +90,13 @@ class DensityMatrix:
             raise NonSquare(
                 f"matrix shape {m.shape} does not match dims {dims} (D = {dim})"
             )
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise NotHermitian("matrix contains NaN or Inf entries")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        defect = _hermiticity_defect(m)
-        if defect > 1e-12 * scale:
-            raise NotHermitian(f"density matrix not Hermitian: defect {defect:.3e}")
+        scale = _check_hermitian(m)
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-12:
-            raise NotHermitian(f"density matrix trace {tr} differs from 1")
+        if abs(tr - 1.0) > TRACE_ATOL:
+            raise NotNormalized(f"density matrix trace {tr} differs from 1")
         lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < -PSD_ATOL:
-            raise NotHermitian(
-                f"density matrix has negative eigenvalue {lam_min:.3e}"
-            )
+        if lam_min < -PSD_ATOL * scale:
+            raise NotPositive(f"density matrix has negative eigenvalue {lam_min:.3e}")
 
     @property
     def n_parties(self) -> int:

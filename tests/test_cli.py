@@ -1,5 +1,6 @@
 import json
 from math import ceil, log2
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def test_analyze_criteria_subset_and_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", state, "--criteria", "ppt,dv",
                        "--output", report)
     assert code == 0 and out == ""
-    payload = json.loads(open(report).read())
+    payload = json.loads(Path(report).read_text())
     assert [r["name"] for r in payload["reports"]] == ["ppt", "dv"]
     assert payload["any_violated"] is True
 
@@ -95,6 +96,10 @@ def test_analyze_unknown_criterion(tmp_path, capsys):
     run(capsys, "generate", "--family", "bell", "-o", state)
     code, _, err = run(capsys, "analyze", state, "--criteria", "nope")
     assert code == 2 and "nope" in err
+    # an empty list would report nothing and "any_violated": false
+    for names in ("", ","):
+        code, out, err = run(capsys, "analyze", state, "--criteria", names)
+        assert code == 2 and out == "" and err.startswith("error:"), names
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -104,17 +109,20 @@ def test_analyze_missing_file(tmp_path, capsys):
 
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for content in (b"{broken", b"\xff\xfe\x00"):  # bad JSON, bad UTF-8
+    zero_parties = json.dumps({"version": 1, "dims": [], "matrix": [[[1, 0]]]})
+    # bad JSON, bad UTF-8, a state on no subsystem at all
+    for content in (b"{broken", b"\xff\xfe\x00", zero_parties.encode()):
         path.write_bytes(content)
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and err.startswith("error:"), content
 
 
 def test_generate_rejects_non_integer_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CTM_SEED", "abc")
-    code, _, err = run(capsys, "generate", "--family", "pure-product",
-                       "--dims", "2,2", "-o", str(tmp_path / "p.json"))
-    assert code == 2 and "CTM_SEED" in err
+    for seed in ("abc", "-1"):
+        monkeypatch.setenv("CTM_SEED", seed)
+        code, _, err = run(capsys, "generate", "--family", "pure-product",
+                           "--dims", "2,2", "-o", str(tmp_path / "p.json"))
+        assert code == 2 and "CTM_SEED" in err, seed
 
 
 def test_analyze_non_state_file(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctmoments import _kernels, criteria
 from ctmoments import (
+    DensityMatrix,
     bell,
     ccnr_criterion,
     dv_bound,
@@ -118,14 +121,22 @@ def test_ghz3_theorem3():
     assert plain.violated  # sigma = sqrt(2)/8 twice per mode exceeds 1/8 bound
 
 
+def test_bipartite_bounds_are_the_product_bounds():
+    for d1 in range(2, 8):
+        for d2 in range(2, 8):
+            assert dv_bound(d1, d2) == multi_plain_bound((d1, d2)), (d1, d2)
+            assert li_bound(d1, d2) == multi_canonical_bound((d1, d2)), (d1, d2)
+
+
 def test_theorem3_matches_theorem1_at_n2():
+    # at n = 2 Theorem 3 is Theorem 1: the same bound and the same sums
     rng = np.random.default_rng(41)
-    for _ in range(10):
-        rho = random_density((2, 3), rng)
-        t1p, t1c = theorem1(rho)
-        t3p, t3c = theorem3(rho)
-        assert abs(t1p.margin - t3p.margin) < 1e-10
-        assert abs(t1c.margin - t3c.margin) < 1e-10
+    for dims in [(2, 2), (2, 3), (3, 3), (4, 4), (5, 5)]:
+        for rho in [random_density(dims, rng) for _ in range(4)]:
+            for t1, t3 in zip(theorem1(rho), theorem3(rho)):
+                assert (t1.quantity, t1.bound, t1.margin, t1.violated) == (
+                    t3.quantity, t3.bound, t3.margin, t3.violated
+                ), dims
 
 
 def test_bipartite_criteria_reject_multipartite():
@@ -220,6 +231,39 @@ def test_local_unitary_invariance():
     p1, c1 = theorem1(rotated)
     assert abs(p0.margin - p1.margin) < 1e-10
     assert abs(c0.margin - c1.margin) < 1e-10
+
+
+def _random_unitary(d, rng):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def _reverse_parties(rho):
+    n = rho.n_parties
+    t = rho.mat.reshape(rho.dims * 2)
+    order = list(range(n - 1, -1, -1)) + list(range(2 * n - 1, n - 1, -1))
+    return DensityMatrix(rho.dims[::-1], t.transpose(order).reshape(rho.mat.shape))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    separable=st.booleans(),
+)
+def test_quantities_invariant_under_local_unitaries_and_party_reversal(
+    dims, seed, separable
+):
+    rng = np.random.default_rng(seed)
+    rho = (random_separable if separable else random_density)(dims, rng)
+    w = np.array([[1.0]])
+    for d in dims:
+        w = np.kron(w, _random_unitary(d, rng))
+    want = evaluate_all(rho)
+    for other in (DensityMatrix(dims, w @ rho.mat @ w.conj().T), _reverse_parties(rho)):
+        got = evaluate_all(other)
+        assert [r.name for r in got] == [r.name for r in want]
+        for r, g in zip(want, got):
+            assert abs(g.quantity - r.quantity) <= 1e-12 * (1 + abs(r.quantity)), r.name
 
 
 def test_separable_states_never_flagged():

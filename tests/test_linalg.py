@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from ctmoments import (
     singular_values,
     trace_norm,
 )
-from ctmoments.errors import NonSquare, NotBipartite, NotHermitian
+from ctmoments.errors import (
+    InvalidDimension,
+    NonSquare,
+    NotBipartite,
+    NotHermitian,
+    NotNormalized,
+    NotPositive,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -48,8 +57,12 @@ def test_eigenvalues_2x2():
 
 
 def test_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # one tolerance: what DensityMatrix rejects, the eigen-solvers reject
+    for defect in (1.0, 5e-12):
+        m = np.array([[0.5, 0.0], [defect, 0.5]])
+        for check in (hermitian_eigenvalues, is_psd, partial(DensityMatrix, (2,))):
+            with pytest.raises(NotHermitian):
+                check(m)
 
 
 def test_eigenvalues_rejects_non_square():
@@ -137,6 +150,13 @@ def test_density_matrix_validation():
     with pytest.raises(NotHermitian):
         DensityMatrix((2,), np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(NotHermitian):
+        DensityMatrix((2,), np.array([[np.nan, 0.0], [0.0, 0.5]]))
+    with pytest.raises(NotNormalized):
         DensityMatrix((2,), np.eye(2))  # trace 2
+    with pytest.raises(NotPositive):
+        DensityMatrix((2,), np.diag([1.5, -0.5]))
     with pytest.raises(NonSquare):
         DensityMatrix((2, 2), np.eye(2) / 2)
+    for dims in [(), (1, 2)]:
+        with pytest.raises(InvalidDimension):
+            DensityMatrix(dims, np.eye(2) / 2)
