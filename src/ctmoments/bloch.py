@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .basis import gellmann_generators
-from .errors import InvalidCorrelationTensor, InvalidDimension, ModeOutOfRange, TooFewParties
+from .errors import InvalidCorrelationTensor, ModeOutOfRange, TooFewParties
 from .linalg import DensityMatrix, _require_bipartite
 
 REALITY_ATOL = 1e-9
@@ -59,55 +59,41 @@ def _real_part(raw: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(raw.real)
 
 
-def _mode_operators(d: int, gens) -> np.ndarray:
-    """The (d^2, d, d) stack I/d, gens[0]/2, gens[1]/2, ... of one mode."""
-    if len(gens) != d * d - 1 or any(np.shape(g) != (d, d) for g in gens):
-        raise InvalidDimension(f"d = {d} needs {d * d - 1} operators of shape ({d}, {d})")
-    ops = np.empty((d * d, d, d), dtype=np.complex128)
-    ops[0] = np.eye(d) / d
-    ops[1:] = np.asarray(gens, dtype=np.complex128) / 2.0
-    return ops
-
-
 @lru_cache(maxsize=None)
 def _gellmann_operators(d: int) -> np.ndarray:
-    """_mode_operators of the Gell-Mann basis, built once per d, read-only."""
-    ops = _mode_operators(d, gellmann_generators(d))
+    """The (d^2, d, d) stack I/d, lam_1/2, lam_2/2, ... of one mode, read-only."""
+    ops = np.empty((d * d, d, d), dtype=np.complex128)
+    ops[0] = np.eye(d) / d
+    ops[1:] = np.asarray(gellmann_generators(d)) / 2.0
     ops.flags.writeable = False
     return ops
 
 
-def correlation_tensor(
-    rho: DensityMatrix,
-    extended: bool = False,
-    bases: list[list[np.ndarray]] | None = None,
-) -> CorrelationTensor:
+def _plain(t: CorrelationTensor) -> CorrelationTensor:
+    """The plain tensor T as a view of the [1:, ..., 1:] block of T~."""
+    entries = t.entries[(slice(1, None),) * t.n]
+    return CorrelationTensor(dims=t.dims, entries=entries, extended=False)
+
+
+def correlation_tensor(rho: DensityMatrix, extended: bool = False) -> CorrelationTensor:
     """Correlation tensor of a multipartite state.
 
-    With extended=False the entries are Tr(rho lam_{a1} (x) ... ) / 2^n
-    over nonzero generator indices only. With extended=True index 0 of
-    each mode is the identity and each entry carries the prefactor
-    prod_{nonzero modes} d_k / (2^m prod_k d_k) with m the number of
-    nonzero indices. Both are products of 1/d_k per identity slot and 1/2
-    per generator slot, so the operators of each mode carry their factor
-    (cached per d) and one contraction yields the entries.
-
-    An explicit basis of d_k^2 - 1 generators per mode may be supplied for
-    testing; it must use the same Tr(lam_i lam_j) = 2 delta_ij normalization.
+    With extended=True index 0 of each mode is the identity and each entry
+    carries the prefactor prod_{nonzero modes} d_k / (2^m prod_k d_k) with
+    m the number of nonzero indices: 1/d_k per identity slot and 1/2 per
+    generator slot, which the operators of each mode carry (cached per d),
+    so one contraction yields the entries. The plain tensor T, with entries
+    Tr(rho lam_{a1} (x) ... ) / 2^n over nonzero generator indices only, is
+    the [1:, ..., 1:] block of T~ and is returned as a view of it.
     """
     dims = rho.dims
     n = rho.n_parties
     if n < 2:
         raise TooFewParties(f"correlation tensor needs >= 2 parties, got {n}")
-    if bases is None:
-        stacks = [_gellmann_operators(d) for d in dims]
-    elif len(bases) != n:
-        raise InvalidDimension(f"{len(bases)} bases supplied for {n} parties")
-    else:
-        stacks = [_mode_operators(d, g) for d, g in zip(dims, bases)]
-    first = 0 if extended else 1
-    raw = _kernels.expectation_tensor(rho.mat, [s[first:] for s in stacks], dims)
-    return CorrelationTensor(dims=dims, entries=_real_part(raw), extended=extended)
+    stacks = [_gellmann_operators(d) for d in dims]
+    raw = _kernels.expectation_tensor(rho.mat, stacks, dims)
+    t = CorrelationTensor(dims=dims, entries=_real_part(raw), extended=True)
+    return t if extended else _plain(t)
 
 
 def decompose_bipartite(rho: DensityMatrix) -> BlochDecomposition:

@@ -16,13 +16,13 @@ the public functions are thin wrappers over it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from math import isfinite, prod, sqrt
 
 import numpy as np
 
-from .bloch import CorrelationTensor, correlation_tensor, unfold
+from .bloch import CorrelationTensor, _plain, correlation_tensor, unfold
 from .errors import NotBipartite, ParamOutOfRange, UnknownCriterion
 from .linalg import (
     DensityMatrix,
@@ -32,6 +32,7 @@ from .linalg import (
     singular_values,
     trace_norm,
 )
+from .moments import _power_sums
 
 DEFAULT_TOL = 1e-9
 # thm2's Krylov space is exhausted once a Lanczos residual (x <= 1) falls to
@@ -49,7 +50,7 @@ class CriterionReport:
     detail: dict | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def multi_plain_bound(dims) -> float:
@@ -82,10 +83,7 @@ class _Analysis:
     def tensor(self, extended: bool) -> CorrelationTensor:
         if self._extended is None:
             self._extended = correlation_tensor(self.rho, extended=True)
-        if extended:
-            return self._extended
-        plain = self._extended.entries[(slice(1, None),) * len(self.dims)]
-        return CorrelationTensor(dims=self.dims, entries=plain, extended=False)
+        return self._extended if extended else _plain(self._extended)
 
     def sigmas(self, extended: bool, mode: int) -> np.ndarray:
         """Singular values of the mode-k unfolding of T~ (extended) or T.
@@ -134,14 +132,9 @@ def _trace_norm_test(extended: bool, a: _Analysis, tol) -> CriterionReport:
     return _report("li" if extended else "dv", norm, a.bounds[extended], tol)
 
 
-def _m2_m3(s: np.ndarray) -> tuple[float, float]:
-    """Second and third power sums of one unfolding's singular values."""
-    return float(np.sum(s * s)), float(np.sum(s * s * s))
-
-
 def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[float, float]:
     """(m2^2, bound * m3) of the mode-k unfolding; separable states keep <=."""
-    m2, m3 = _m2_m3(a.sigmas(extended, mode))
+    _, m2, m3 = _power_sums(a.sigmas(extended, mode), 3)
     return m2 * m2, a.bounds[extended] * m3
 
 
@@ -186,7 +179,7 @@ def _thm2(canonical: bool, a: _Analysis, tol) -> CriterionReport:
     required = _required_a1(s, (a.rho.dim - 1) // 2)
     # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
     # sign is that of -(thm1 margin), computed from the same sums
-    m2, m3 = _m2_m3(s)
+    _, m2, m3 = _power_sums(s, 3)
     lam_max = 0.5 * (bound + m3) + sqrt(0.25 * (bound - m3) ** 2 + m2 * m2)
     detail = {
         "substituted_a1": bound,

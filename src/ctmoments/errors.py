@@ -53,9 +53,5 @@ class ParamOutOfRange(CtmError):
     pass
 
 
-class UnnormalizedVector(CtmError):
-    pass
-
-
 class UnknownCriterion(CtmError):
     pass

@@ -60,10 +60,10 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(singular_values(m)))
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_ATOL) -> bool:
-    """True iff the minimum eigenvalue is >= -tol * max(1, max|m|)."""
+def is_psd(m: np.ndarray) -> bool:
+    """True iff the minimum eigenvalue is >= -PSD_ATOL * max(1, max|m|)."""
     scale = _check_hermitian(m)
-    return bool(np.all(np.linalg.eigvalsh(m) >= -tol * scale))
+    return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * scale))
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,10 @@ def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
     return rho.dims[0], rho.dims[1]
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:
-    """Partial transpose of a bipartite state over the given subsystem (1 or 2)."""
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Partial transpose of a bipartite state over subsystem 2."""
     d1, d2 = _require_bipartite(rho)
-    if subsystem not in (1, 2):
-        raise NotBipartite(f"subsystem must be 1 or 2, got {subsystem}")
-    t = rho.mat.reshape(d1, d2, d1, d2)
-    if subsystem == 1:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
+    t = rho.mat.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1)
     return t.reshape(d1 * d2, d1 * d2)
 
 

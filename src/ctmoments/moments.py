@@ -12,9 +12,9 @@ from math import prod
 
 import numpy as np
 
-from .criteria import _Analysis
+from .bloch import correlation_tensor, unfold
 from .errors import InsufficientMoments, NegativeSingularValue
-from .linalg import DensityMatrix, _require_bipartite
+from .linalg import DensityMatrix, _require_bipartite, singular_values
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,15 @@ class HankelPair:
     substituted_a1: float
 
 
+def _power_sums(s: np.ndarray, K: int) -> list[float]:
+    """a_1..a_K = sum s^k, each power one more product: s, s*s, (s*s)*s, ..."""
+    sums, power = [], s
+    for _ in range(K):
+        sums.append(float(np.sum(power)))
+        power = power * s
+    return sums
+
+
 def moment_vector(
     sigmas: np.ndarray,
     K: int,
@@ -56,11 +65,11 @@ def moment_vector(
 ) -> MomentVector:
     """Power sums of the singular values up to order K, with a_0 = a0."""
     s = np.asarray(sigmas, dtype=np.float64)
-    if np.any(s < 0):
-        raise NegativeSingularValue(f"negative singular value in {s}")
+    if not np.all(s >= 0):
+        raise NegativeSingularValue(f"negative or NaN singular value in {s}")
     if K < 1:
         raise InsufficientMoments(f"K must be >= 1, got {K}")
-    values = np.array([a0] + [float(np.sum(s**k)) for k in range(1, K + 1)])
+    values = np.array([a0] + _power_sums(s, K))
     return MomentVector(values=values, a0_convention=float(a0),
                         source=source, dims=tuple(dims))
 
@@ -77,8 +86,9 @@ def moments_of_state(
         a0 = float(d1 * d1 * d2 * d2)
     else:
         a0 = float((d1 * d1 - 1) * (d2 * d2 - 1))
+    sigmas = singular_values(unfold(correlation_tensor(rho, extended=canonical), 1))
     return moment_vector(
-        _Analysis(rho).sigmas(canonical, 1), d1 * d2 if K is None else K, a0,
+        sigmas, d1 * d2 if K is None else K, a0,
         source="canonical" if canonical else "plain", dims=(d1, d2),
     )
 

@@ -15,6 +15,7 @@ from ctmoments import (
     li_bound,
     li_criterion,
     maximally_mixed,
+    moments_of_state,
     multi_canonical_bound,
     multi_plain_bound,
     ppt_criterion,
@@ -139,6 +140,19 @@ def test_theorem3_matches_theorem1_at_n2():
                 ), dims
 
 
+def test_theorem1_reads_the_moment_vector():
+    # one power-sum rule: thm1 is m2^2 <= bound * m3 on moments_of_state, exactly
+    rng = np.random.default_rng(67)
+    for dims in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 5)]:
+        for _ in range(10):
+            rho = random_density(dims, rng)
+            for canonical, report in enumerate(theorem1(rho)):
+                m = moments_of_state(rho, canonical=bool(canonical), K=3)
+                bound = (li_bound if canonical else dv_bound)(*dims)
+                assert report.quantity == m[2] ** 2, dims
+                assert report.bound == bound * m[3], dims
+
+
 def test_bipartite_criteria_reject_multipartite():
     rho = ghz(3)
     for fn in (ppt_criterion, ccnr_criterion, theorem1, theorem2):
@@ -237,29 +251,35 @@ def _random_unitary(d, rng):
     return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
-def _reverse_parties(rho):
+def _permute_parties(rho, perm):
+    """rho with party perm[k] moved to place k."""
     n = rho.n_parties
     t = rho.mat.reshape(rho.dims * 2)
-    order = list(range(n - 1, -1, -1)) + list(range(2 * n - 1, n - 1, -1))
-    return DensityMatrix(rho.dims[::-1], t.transpose(order).reshape(rho.mat.shape))
+    order = list(perm) + [n + p for p in perm]
+    dims = tuple(rho.dims[p] for p in perm)
+    return DensityMatrix(dims, t.transpose(order).reshape(rho.mat.shape))
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    dims=st.sampled_from([(2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]),
+    shape=st.sampled_from([(2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.permutations(range(len(dims))))
+    ),
     seed=st.integers(0, 2**32 - 1),
     separable=st.booleans(),
 )
 def test_quantities_invariant_under_local_unitaries_and_party_reversal(
-    dims, seed, separable
+    shape, seed, separable
 ):
+    dims, perm = shape
     rng = np.random.default_rng(seed)
     rho = (random_separable if separable else random_density)(dims, rng)
     w = np.array([[1.0]])
     for d in dims:
         w = np.kron(w, _random_unitary(d, rng))
     want = evaluate_all(rho)
-    for other in (DensityMatrix(dims, w @ rho.mat @ w.conj().T), _reverse_parties(rho)):
+    rotated = DensityMatrix(dims, w @ rho.mat @ w.conj().T)
+    for other in (rotated, _permute_parties(rho, perm)):
         got = evaluate_all(other)
         assert [r.name for r in got] == [r.name for r in want]
         for r, g in zip(want, got):

@@ -77,9 +77,9 @@ def test_singular_values_examples():
 
 
 def test_is_psd_examples():
-    assert is_psd(np.eye(2), 1e-9)
-    assert not is_psd(np.diag([1.0, -1.0]), 1e-9)
-    assert is_psd(np.ones((2, 2)), 1e-9)
+    assert is_psd(np.eye(2))
+    assert not is_psd(np.diag([1.0, -1.0]))
+    assert is_psd(np.ones((2, 2)))
 
 
 def test_partial_transpose_diagonal_invariants():

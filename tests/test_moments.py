@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctmoments import (
     hankel_matrices,
     is_psd,
     maximally_mixed,
+    mix_white_noise,
     moment_vector,
     moments_of_state,
     pure_product,
@@ -38,8 +41,9 @@ def test_moment_vector_werner_d3():
 
 
 def test_moment_vector_rejects_negative_sigma():
-    with pytest.raises(NegativeSingularValue):
-        moment_vector(np.array([0.5, -0.1]), K=2, a0=1.0)
+    for sigmas in ([0.5, -0.1], [np.nan, 0.5]):
+        with pytest.raises(NegativeSingularValue):
+            moment_vector(np.array(sigmas), K=2, a0=1.0)
 
 
 def test_moment_vector_rejects_k_zero():
@@ -136,4 +140,19 @@ def test_unsubstituted_hankel_psd_on_random_states():
                 m = moments_of_state(rho, canonical=canonical)
                 pair = hankel_matrices(m, m[1])
                 for mat in pair.h_hat + pair.b_hat:
-                    assert is_psd(mat, 1e-9)
+                    assert is_psd(mat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    x=st.floats(0.05, 1.0),
+)
+def test_plain_moments_homogeneous_under_white_noise(dims, seed, x):
+    # the plain tensor of I/D vanishes, so T(x) = x T(1) and a_k(x) = x^k a_k(1)
+    rho = random_density(dims, np.random.default_rng(seed))
+    want = moments_of_state(rho, canonical=False, K=4)
+    got = moments_of_state(mix_white_noise(rho, x), canonical=False, K=4)
+    for k in range(1, 5):
+        assert abs(got[k] - x**k * want[k]) <= 1e-11 * x**k * want[k], k

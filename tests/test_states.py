@@ -14,7 +14,7 @@ from ctmoments import (
     w_state,
     werner,
 )
-from ctmoments.errors import ParamOutOfRange, UnnormalizedVector
+from ctmoments.errors import NotNormalized, ParamOutOfRange
 from ctmoments.states import (
     FAMILIES,
     random_density,
@@ -74,7 +74,7 @@ def test_tiles_ppt_structure():
     rho = tiles_ppt()
     ev = hermitian_eigenvalues(rho.mat)
     np.testing.assert_allclose(ev, [0.25] * 4 + [0.0] * 5, atol=1e-12)
-    assert is_psd(partial_transpose(rho), 1e-9)
+    assert is_psd(partial_transpose(rho))
 
 
 def test_mix_white_noise_endpoints():
@@ -90,8 +90,14 @@ def test_mix_white_noise_endpoints():
 
 
 def test_pure_product_rejects_unnormalized():
-    with pytest.raises(UnnormalizedVector):
+    with pytest.raises(NotNormalized):
         pure_product([[1, 1], [1, 0]])
+
+
+def test_pure_product_needs_only_a_unit_norm_product():
+    # the trace rule decides: |2| * |0.5| = 1 is a valid unit-trace projector
+    rho = pure_product([[2, 0], [0.5, 0]])
+    np.testing.assert_array_equal(rho.mat, pure_product([[1, 0], [1, 0]]).mat)
 
 
 def test_pure_product_is_rank_one():
@@ -144,11 +150,11 @@ def test_random_pure_product_is_product():
     rho = random_pure_product((2, 3), rng)
     # rank-one and PPT
     assert abs(np.trace(rho.mat @ rho.mat).real - 1.0) < 1e-12
-    assert is_psd(partial_transpose(rho), 1e-9)
+    assert is_psd(partial_transpose(rho))
 
 
 def test_random_separable_is_ppt():
     rng = np.random.default_rng(13)
     for _ in range(10):
         rho = random_separable((2, 2), rng)
-        assert is_psd(partial_transpose(rho), 1e-9)
+        assert is_psd(partial_transpose(rho))
