@@ -53,7 +53,7 @@ class CorrelationTensor:
 
 
 def _real_part(raw: np.ndarray) -> np.ndarray:
-    imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
+    imag = float(np.abs(raw.imag).max(initial=0.0))
     if imag > REALITY_ATOL:
         raise InvalidCorrelationTensor(f"correlation entries not real: max imag {imag:.3e}")
     return np.ascontiguousarray(raw.real)
@@ -70,8 +70,8 @@ def _gellmann_operators(d: int) -> np.ndarray:
 
 
 def _plain(t: CorrelationTensor) -> CorrelationTensor:
-    """The plain tensor T as a view of the [1:, ..., 1:] block of T~."""
-    entries = t.entries[(slice(1, None),) * t.n]
+    """The plain tensor T as a view of the [..., 1:, ..., 1:] block of T~."""
+    entries = t.entries[(Ellipsis,) + (slice(1, None),) * t.n]
     return CorrelationTensor(dims=t.dims, entries=entries, extended=False)
 
 
@@ -85,9 +85,13 @@ def correlation_tensor(rho: DensityMatrix, extended: bool = False) -> Correlatio
     so one contraction yields the entries. The plain tensor T, with entries
     Tr(rho lam_{a1} (x) ... ) / 2^n over nonzero generator indices only, is
     the [1:, ..., 1:] block of T~ and is returned as a view of it.
+
+    rho.mat may be a stack (N, D, D) of states sharing rho.dims; entries
+    then carry the leading axis N, and every function here that takes a
+    CorrelationTensor acts on its last n axes.
     """
     dims = rho.dims
-    n = rho.n_parties
+    n = len(dims)
     if n < 2:
         raise TooFewParties(f"correlation tensor needs >= 2 parties, got {n}")
     stacks = [_gellmann_operators(d) for d in dims]
@@ -125,10 +129,14 @@ def unfold(t: CorrelationTensor, mode: int) -> np.ndarray:
     """Mode-k unfolding: rows indexed by the given mode (1-based).
 
     Columns enumerate the remaining modes in lexicographic order with the
-    lowest remaining mode most significant.
+    lowest remaining mode most significant. A stacked tensor gives a stack
+    of unfoldings.
     """
     if not 1 <= mode <= t.n:
         raise ModeOutOfRange(f"mode {mode} out of range for {t.n}-way tensor")
-    arr = np.moveaxis(t.entries, mode - 1, 0)
-    return np.ascontiguousarray(arr.reshape(arr.shape[0], -1))
+    axes = list(range(t.entries.ndim))
+    first = len(axes) - t.n  # the tensor's first mode, after any stack axes
+    axes.insert(first, axes.pop(first + mode - 1))
+    arr = t.entries.transpose(axes)
+    return np.ascontiguousarray(arr.reshape(arr.shape[:first + 1] + (-1,)))
 

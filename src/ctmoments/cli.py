@@ -9,13 +9,19 @@ import argparse
 import json
 import os
 import sys
+from math import isfinite
 
 import numpy as np
 
 from . import criteria, io, states
-from .errors import CtmError
+from .errors import CtmError, ParamOutOfRange
 
 COARSE_STEP = 1e-2  # find_threshold's grid step before bisection
+_GRID_BLOCK = 64  # grid states per stacked analysis; bounds the memory it holds
+_MIN_PRECISION = 1e-8
+# criteria whose margin along a white-noise sweep crosses zero at
+# bound / quantity of the state at x = 1, since T(x) = x T(1)
+_HOMOGENEOUS_UNDER_NOISE = ("dv", "thm1-plain", "thm2-plain")
 
 
 def _seed() -> int:
@@ -80,10 +86,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _margins(rhos, name, tol) -> list[float]:
+    """criterion_margin of each state, from one stacked analysis; the states
+    share their dims."""
+    mat = np.stack([rho.mat for rho in rhos])
+    rows = criteria._evaluate(rhos[0].dims, mat, tol, [name])
+    return [report.margin - tol for (report,) in rows]
+
+
 def criterion_margin(rho, name, tol) -> float:
     """Detection margin: positive means the named criterion flags rho."""
-    (report,) = criteria.evaluate_all(rho, tol, names=[name])
-    return report.margin - tol
+    (margin,) = _margins([rho], name, tol)
+    return margin
 
 
 def find_threshold(
@@ -93,10 +107,19 @@ def find_threshold(
 
     Returns (crossings, brackets): refined crossing points and the coarse
     brackets they came from. state_at maps the scalar parameter to a state.
+    The grid is scored in stacks of _GRID_BLOCK states, each bisection step
+    one state at a time.
     """
+    if not (isfinite(lo) and isfinite(hi) and lo < hi):
+        raise ParamOutOfRange(f"need finite lo < hi, got lo = {lo}, hi = {hi}")
+    if not precision >= _MIN_PRECISION:
+        raise ParamOutOfRange(f"precision must be >= {_MIN_PRECISION}, got {precision}")
     n_steps = int(round((hi - lo) / COARSE_STEP))
     xs = np.linspace(lo, hi, n_steps + 1)
-    gs = [criterion_margin(state_at(x), criterion, tol) for x in xs]
+    gs = []
+    for start in range(0, len(xs), _GRID_BLOCK):
+        block = [state_at(x) for x in xs[start:start + _GRID_BLOCK]]
+        gs += _margins(block, criterion, tol)
     crossings, brackets = [], []
     for i in range(n_steps):
         if (gs[i] > 0) == (gs[i + 1] > 0):
@@ -114,19 +137,33 @@ def find_threshold(
     return crossings, brackets
 
 
+def _closed_form(family, params, base, criterion) -> float | None:
+    """The threshold in closed form, where one is known: werner thm1-plain
+    at (2 - d)/d, and bound / quantity at x = 1 under white noise."""
+    if family == "werner":
+        return (2 - params["d"]) / params["d"] if criterion == "thm1-plain" else None
+    if criterion not in _HOMOGENEOUS_UNDER_NOISE:
+        return None
+    (report,) = criteria.evaluate_all(base, names=[criterion])
+    return report.bound / report.quantity if report.quantity > 0 else None
+
+
 def cmd_threshold(args) -> int:
-    if not args.precision >= 1e-8:
-        raise CtmError(f"precision must be >= 1e-8, got {args.precision}")
     names, build = states.FAMILIES[args.family]
     if "x" in names:  # werner: its own parameter x, over [-1, 1]
         params = _family_params(args, [p for p in names if p != "x"])
-        lo, hi = -1.0, 1.0
-        state_at = lambda x: build(**params, x=x)
+        base, lo, hi = None, -1.0, 1.0
+        at = lambda x: build(**params, x=x)
     else:  # any other family: its white-noise level, from the one base state
         params = _family_params(args, names)
-        base = build(**params)
-        lo, hi = 0.0, 1.0
-        state_at = lambda x: states.mix_white_noise(base, x)
+        base, lo, hi = build(**params), 0.0, 1.0
+        at = lambda x: states.mix_white_noise(base, x)
+    scored = []
+
+    def state_at(x):
+        scored.append(x)
+        return at(x)
+
     crossings, brackets = find_threshold(
         state_at, args.criterion, lo, hi, tol=args.tol, precision=args.precision
     )
@@ -145,6 +182,8 @@ def cmd_threshold(args) -> int:
         "threshold": threshold,
         "crossings": crossings,
         "brackets": [list(b) for b in brackets],
+        "evaluations": len(scored),
+        "closed_form": _closed_form(args.family, params, base, args.criterion),
     }
     print(json.dumps(payload, indent=2))
     return 0

@@ -5,19 +5,22 @@ passing says nothing. Reports share one shape and one rule: the tested
 quantity, the separable bound, margin = quantity - bound, and
 violated = margin > tol.
 
-Each state is analysed once. `_Analysis` builds the extended correlation
-tensor T~ on first use, takes the plain tensor T as its [1:, ..., 1:]
-block, and keeps the singular values of every unfolding it is asked for,
-so a state costs at most one tensor build and one SVD per (tensor, mode).
-Every criterion is one entry of `_REGISTRY`, which fixes its name, its
-place in evaluate_all's order and whether it needs a bipartite state;
-the public functions are thin wrappers over it.
+Each state is analysed once, as part of a stack of states that share
+their dims: evaluate_all is a stack of one, and a threshold search scores
+its coarse grid in stacks. `_Analysis` builds the stacked extended
+correlation tensor T~ on first use, takes the plain tensor T as its
+[..., 1:, ..., 1:] block, and keeps the stacked singular values of every
+unfolding it is asked for, so a stack costs at most one tensor build and
+one stacked SVD per (tensor, mode). Every criterion is one entry of
+`_REGISTRY`, which fixes its name, its place in evaluate_all's order and
+whether it needs a bipartite state, and returns one report per state of
+the stack; the public functions are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from math import isfinite, prod, sqrt
 
 import numpy as np
@@ -70,23 +73,28 @@ def li_bound(d1: int, d2: int) -> float:
 
 
 class _Analysis:
-    """Correlation data of one state, each piece computed on first use."""
+    """Correlation data of a stack of states, each piece computed on first use.
 
-    def __init__(self, rho: DensityMatrix):
-        self.rho = rho
-        self.dims = rho.dims
+    It holds the states' dims and their matrices as mat, a stack
+    (N, D, D): the two fields that correlation_tensor, partial_transpose
+    and realign read, so each of them acts on the whole stack at once.
+    """
+
+    def __init__(self, dims: tuple[int, ...], mat: np.ndarray):
+        self.dims = dims
+        self.mat = mat
         # the separable bound on every unfolding's trace norm, indexed by extended
-        self.bounds = (multi_plain_bound(self.dims), multi_canonical_bound(self.dims))
+        self.bounds = (multi_plain_bound(dims), multi_canonical_bound(dims))
         self._extended: CorrelationTensor | None = None
         self._sigmas: dict[tuple[bool, int], np.ndarray] = {}
 
     def tensor(self, extended: bool) -> CorrelationTensor:
         if self._extended is None:
-            self._extended = correlation_tensor(self.rho, extended=True)
+            self._extended = correlation_tensor(self, extended=True)
         return self._extended if extended else _plain(self._extended)
 
     def sigmas(self, extended: bool, mode: int) -> np.ndarray:
-        """Singular values of the mode-k unfolding of T~ (extended) or T.
+        """Singular values (N, r) of the mode-k unfoldings of T~ (extended) or T.
 
         At n = 2 the mode-2 unfolding is the transpose of mode 1, so both
         modes share one SVD.
@@ -99,48 +107,53 @@ class _Analysis:
         return self._sigmas[key]
 
 
-def _report(name, quantity, bound, tol, detail=None) -> CriterionReport:
-    margin = quantity - bound
-    return CriterionReport(
-        name=name,
-        quantity=float(quantity),
-        bound=float(bound),
-        violated=bool(margin > tol),
-        margin=float(margin),
-        detail=detail,
-    )
+def _reports(name, quantity, bound, tol, details=None) -> list[CriterionReport]:
+    """One report per state: margin = quantity - bound, violated = margin > tol.
+
+    quantity holds one value per state; bound one per state or one shared.
+    """
+    quantity = np.asarray(quantity, dtype=np.float64).tolist()
+    bounds = np.asarray(bound, dtype=np.float64).tolist()
+    if not isinstance(bounds, list):
+        bounds = [bounds] * len(quantity)
+    reports = []
+    for k, (q, b) in enumerate(zip(quantity, bounds)):
+        margin = q - b
+        detail = None if details is None else details[k]
+        reports.append(CriterionReport(name, q, b, margin > tol, margin, detail))
+    return reports
 
 
 def _kind(canonical: bool) -> str:
     return "canonical" if canonical else "plain"
 
 
-def _ppt(a: _Analysis, tol) -> CriterionReport:
-    lam_min = float(hermitian_eigenvalues(partial_transpose(a.rho))[-1])
-    return _report("ppt", -lam_min, 0.0, tol, {"min_eigenvalue": lam_min})
+def _ppt(a: _Analysis, tol) -> list[CriterionReport]:
+    lam_min = hermitian_eigenvalues(partial_transpose(a))[:, -1]
+    details = [{"min_eigenvalue": lam} for lam in lam_min.tolist()]
+    return _reports("ppt", -lam_min, 0.0, tol, details)
 
 
-def _ccnr(a: _Analysis, tol) -> CriterionReport:
-    return _report("ccnr", trace_norm(realign(a.rho)), 1.0, tol)
+def _ccnr(a: _Analysis, tol) -> list[CriterionReport]:
+    return _reports("ccnr", trace_norm(realign(a)), 1.0, tol)
 
 
-def _trace_norm_test(extended: bool, a: _Analysis, tol) -> CriterionReport:
+def _trace_norm_test(extended: bool, a: _Analysis, tol) -> list[CriterionReport]:
     """Max over mode-k unfoldings of the trace norm of T~ (li) or T (dv)."""
-    norm = max(
-        float(np.sum(a.sigmas(extended, k))) for k in range(1, len(a.dims) + 1)
-    )
-    return _report("li" if extended else "dv", norm, a.bounds[extended], tol)
+    norms = (a.sigmas(extended, k).sum(axis=-1) for k in range(1, len(a.dims) + 1))
+    return _reports("li" if extended else "dv", reduce(np.maximum, norms),
+                    a.bounds[extended], tol)
 
 
-def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[float, float]:
-    """(m2^2, bound * m3) of the mode-k unfolding; separable states keep <=."""
+def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m2^2, bound * m3) of the mode-k unfoldings; separable states keep <=."""
     _, m2, m3 = _power_sums(a.sigmas(extended, mode), 3)
     return m2 * m2, a.bounds[extended] * m3
 
 
-def _thm1(canonical: bool, a: _Analysis, tol) -> CriterionReport:
+def _thm1(canonical: bool, a: _Analysis, tol) -> list[CriterionReport]:
     quantity, bound = _moment_sides(canonical, a, 1)
-    return _report(f"thm1-{_kind(canonical)}", quantity, bound, tol)
+    return _reports(f"thm1-{_kind(canonical)}", quantity, bound, tol)
 
 
 def _required_a1(s: np.ndarray, steps: int) -> list[float]:
@@ -172,35 +185,44 @@ def _required_a1(s: np.ndarray, steps: int) -> list[float]:
     return required
 
 
-def _thm2(canonical: bool, a: _Analysis, tol) -> CriterionReport:
+def _thm2(canonical: bool, a: _Analysis, tol) -> list[CriterionReport]:
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
-    s = a.sigmas(canonical, 1)
+    sigmas = a.sigmas(canonical, 1)
     bound = a.bounds[canonical]
-    required = _required_a1(s, (a.rho.dim - 1) // 2)
-    # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
-    # sign is that of -(thm1 margin), computed from the same sums
-    _, m2, m3 = _power_sums(s, 3)
-    lam_max = 0.5 * (bound + m3) + sqrt(0.25 * (bound - m3) ** 2 + m2 * m2)
-    detail = {
-        "substituted_a1": bound,
-        "required_a1": required,
-        "b_min_eigenvalues": [(bound * m3 - m2 * m2) / lam_max],
-    }
-    return _report(f"thm2-{_kind(canonical)}", max(required), bound, tol, detail)
+    steps = (prod(a.dims) - 1) // 2
+    _, m2s, m3s = _power_sums(sigmas, 3)
+    quantities, details = [], []
+    for s, m2, m3 in zip(sigmas, m2s.tolist(), m3s.tolist()):  # one recurrence per state
+        required = _required_a1(s, steps)
+        # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
+        # sign is that of -(thm1 margin), computed from the same sums
+        lam_max = 0.5 * (bound + m3) + sqrt(0.25 * (bound - m3) ** 2 + m2 * m2)
+        quantities.append(max(required))
+        details.append({
+            "substituted_a1": bound,
+            "required_a1": required,
+            "b_min_eigenvalues": [(bound * m3 - m2 * m2) / lam_max],
+        })
+    return _reports(f"thm2-{_kind(canonical)}", quantities, bound, tol, details)
 
 
-def _thm3(extended: bool, a: _Analysis, tol) -> CriterionReport:
+def _thm3(extended: bool, a: _Analysis, tol) -> list[CriterionReport]:
     """Per-mode test of m2^2 <= bound * m3 over all unfoldings."""
-    modes = []
-    for mode in range(1, len(a.dims) + 1):
-        quantity, rhs = _moment_sides(extended, a, mode)
-        modes.append(
-            {"mode": mode, "quantity": quantity, "bound": rhs, "margin": quantity - rhs}
-        )
-    worst = max(modes, key=lambda m: m["margin"])
-    return _report(
-        f"thm3-{_kind(extended)}", worst["quantity"], worst["bound"], tol,
-        detail={"modes": modes},
+    sides = [
+        [side.tolist() for side in _moment_sides(extended, a, mode)]
+        for mode in range(1, len(a.dims) + 1)
+    ]
+    worst, details = [], []
+    for k in range(len(a.mat)):
+        modes = [
+            {"mode": mode, "quantity": q[k], "bound": rhs[k], "margin": q[k] - rhs[k]}
+            for mode, (q, rhs) in enumerate(sides, start=1)
+        ]
+        worst.append(max(modes, key=lambda m: m["margin"]))
+        details.append({"modes": modes})
+    return _reports(
+        f"thm3-{_kind(extended)}", [m["quantity"] for m in worst],
+        [m["bound"] for m in worst], tol, details,
     )
 
 
@@ -219,7 +241,7 @@ _REGISTRY = {
 }
 
 
-def _run(name: str, a: _Analysis, tol: float) -> CriterionReport:
+def _run(name: str, a: _Analysis, tol: float) -> list[CriterionReport]:
     if not (isfinite(tol) and tol >= 0):
         raise ParamOutOfRange(f"tol must be finite and >= 0, got {tol}")
     bipartite_only, fn = _REGISTRY[name]
@@ -228,9 +250,13 @@ def _run(name: str, a: _Analysis, tol: float) -> CriterionReport:
     return fn(a, tol)
 
 
+def _single(rho: DensityMatrix) -> _Analysis:
+    return _Analysis(rho.dims, rho.mat[None])
+
+
 def _pair(prefix, rho, tol):
-    a = _Analysis(rho)
-    return _run(f"{prefix}-plain", a, tol), _run(f"{prefix}-canonical", a, tol)
+    a = _single(rho)
+    return _run(f"{prefix}-plain", a, tol)[0], _run(f"{prefix}-canonical", a, tol)[0]
 
 
 def theorem1(
@@ -268,12 +294,12 @@ def theorem3(
 
 def dv_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace-norm bound on the plain correlation tensor."""
-    return _run("dv", _Analysis(rho), tol)
+    return _run("dv", _single(rho), tol)[0]
 
 
 def li_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace-norm bound on the extended (canonical) correlation tensor."""
-    return _run("li", _Analysis(rho), tol)
+    return _run("li", _single(rho), tol)[0]
 
 
 def ppt_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -281,12 +307,12 @@ def ppt_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionRepo
 
     The quantity is -lambda_min and the bound is 0.
     """
-    return _run("ppt", _Analysis(rho), tol)
+    return _run("ppt", _single(rho), tol)[0]
 
 
 def ccnr_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace norm of the realigned matrix exceeding 1 certifies entanglement."""
-    return _run("ccnr", _Analysis(rho), tol)
+    return _run("ccnr", _single(rho), tol)[0]
 
 
 def evaluate_all(
@@ -300,9 +326,16 @@ def evaluate_all(
     order; an empty list, or a name that is unknown or needs a bipartite
     state, raises UnknownCriterion before anything is computed.
     """
+    (reports,) = _evaluate(rho.dims, rho.mat[None], tol, names)
+    return reports
+
+
+def _evaluate(dims, mat, tol, names) -> list[list[CriterionReport]]:
+    """evaluate_all of each state of the stack mat (N, D, D), one analysis
+    for all of them; the states must be valid and share dims."""
     applicable = [
         name for name, (bipartite_only, _) in _REGISTRY.items()
-        if rho.n_parties == 2 or not bipartite_only
+        if len(dims) == 2 or not bipartite_only
     ]
     if names is None:
         names = applicable
@@ -311,5 +344,6 @@ def evaluate_all(
     missing = [name for name in names if name not in applicable]
     if missing:
         raise UnknownCriterion(f"unknown or inapplicable criteria: {missing}")
-    a = _Analysis(rho)
-    return [_run(name, a, tol) for name in names]
+    a = _Analysis(dims, mat)
+    by_name = [_run(name, a, tol) for name in names]
+    return [list(row) for row in zip(*by_name)]

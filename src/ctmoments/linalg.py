@@ -1,13 +1,14 @@
 """Dense complex linear algebra kernel shared by the rest of the package.
 
 All functions operate on plain numpy arrays (complex128) and are pure:
-no argument is modified in place.
+no argument is modified in place. The matrix functions act on the last
+two axes, so a stack (..., n, n) is handled one matrix at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -27,27 +28,36 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def _check_hermitian(m: np.ndarray) -> float:
-    """Raise unless m is square, finite and Hermitian; return its scale."""
+def _check_hermitian(m: np.ndarray, defect=None):
+    """Raise unless each matrix of m is square, finite and Hermitian.
+
+    Returns (scale, defect) per matrix, with scale = max(1, max|M|) and
+    defect = max|M - M^dag|. A caller that knows the defect in closed form
+    passes it, and then only the scale is measured.
+    """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    peak = np.abs(m).max(axis=(-2, -1), initial=0.0)  # NaN or Inf if any entry is
+    if not isfinite(peak.max()):
         raise NotHermitian("matrix contains NaN or Inf entries")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if defect > HERMITICITY_RTOL * scale:
+    scale = np.maximum(1.0, peak)
+    if defect is None:
+        defect = np.abs(m - m.swapaxes(-2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    bad = defect > HERMITICITY_RTOL * scale
+    if bad.any():
+        k = np.argmax(bad)  # the first offending matrix of a stack
         raise NotHermitian(
-            f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}"
+            f"matrix is not Hermitian: max|M - M^dag| = {np.ravel(defect)[k]:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.1e} * {np.ravel(scale)[k]:.3e}"
         )
-    return scale
+    return scale, defect
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     _check_hermitian(m)
-    return np.linalg.eigvalsh(m)[::-1]
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -55,15 +65,16 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m), compute_uv=False)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Schatten-1 norm: sum of singular values."""
-    return float(np.sum(singular_values(m)))
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """Schatten-1 norm: sum of singular values, one per matrix of a stack."""
+    return np.sum(singular_values(m), axis=-1)
 
 
 def is_psd(m: np.ndarray) -> bool:
-    """True iff the minimum eigenvalue is >= -PSD_ATOL * max(1, max|m|)."""
-    scale = _check_hermitian(m)
-    return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * scale))
+    """True iff the minimum eigenvalue is >= -PSD_ATOL * max(1, max|m|),
+    for every matrix of a stack."""
+    scale, _ = _check_hermitian(m)
+    return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * scale[..., None]))
 
 
 @dataclass(frozen=True)
@@ -72,11 +83,14 @@ class DensityMatrix:
 
     Validated on construction: Hermitian, unit trace, PSD within tolerance.
     Composite indices are row-major over the subsystems, subsystem 1 most
-    significant.
+    significant. The Hermiticity defect and lambda_min the rules were
+    applied to are kept as _defect and _lam_min.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray = field(repr=False)
+    _defect: float = field(init=False, repr=False, compare=False)
+    _lam_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -90,13 +104,21 @@ class DensityMatrix:
             raise NonSquare(
                 f"matrix shape {m.shape} does not match dims {dims} (D = {dim})"
             )
-        scale = _check_hermitian(m)
+        self._apply_rules()
+
+    def _apply_rules(self, defect=None, lam_min=None) -> None:
+        """The Hermitian, trace and PSD rules; measures what is not given."""
+        m = self.mat
+        scale, defect = _check_hermitian(m, defect)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise NotNormalized(f"density matrix trace {tr} differs from 1")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
+        if lam_min is None:
+            lam_min = np.linalg.eigvalsh(m)[0]
         if lam_min < -PSD_ATOL * scale:
             raise NotPositive(f"density matrix has negative eigenvalue {lam_min:.3e}")
+        object.__setattr__(self, "_defect", float(defect))
+        object.__setattr__(self, "_lam_min", float(lam_min))
 
     @property
     def n_parties(self) -> int:
@@ -107,17 +129,32 @@ class DensityMatrix:
         return prod(self.dims)
 
 
+def _derived_state(dims: tuple[int, ...], mat, lam_min: float, defect: float):
+    """A state of known dims whose lambda_min and Hermiticity defect are
+    known in closed form: the same rules as DensityMatrix, with those two
+    residuals given instead of measured (the trace and scale still are)."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "dims", tuple(int(d) for d in dims))
+    object.__setattr__(rho, "mat", np.ascontiguousarray(mat, dtype=np.complex128))
+    rho._apply_rules(defect, lam_min)
+    return rho
+
+
 def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
-    if rho.n_parties != 2:
-        raise NotBipartite(f"expected a bipartite state, got {rho.n_parties} parties")
+    if len(rho.dims) != 2:
+        raise NotBipartite(f"expected a bipartite state, got {len(rho.dims)} parties")
     return rho.dims[0], rho.dims[1]
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
-    """Partial transpose of a bipartite state over subsystem 2."""
+    """Partial transpose of a bipartite state over subsystem 2.
+
+    rho.mat may be a stack (..., D, D); so is the result.
+    """
     d1, d2 = _require_bipartite(rho)
-    t = rho.mat.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1)
-    return t.reshape(d1 * d2, d1 * d2)
+    batch = rho.mat.shape[:-2]
+    t = rho.mat.reshape(batch + (d1, d2, d1, d2)).swapaxes(-3, -1)
+    return t.reshape(batch + (d1 * d2, d1 * d2))
 
 
 def realign(rho: DensityMatrix) -> np.ndarray:
@@ -125,8 +162,9 @@ def realign(rho: DensityMatrix) -> np.ndarray:
 
     Output is d1^2 x d2^2 with row index (i, j) over subsystem-1 basis
     pairs, column index (k, l) over subsystem-2 pairs, and entry
-    rho[(i,k),(j,l)].
+    rho[(i,k),(j,l)]. rho.mat may be a stack (..., D, D); so is the result.
     """
     d1, d2 = _require_bipartite(rho)
-    t = rho.mat.reshape(d1, d2, d1, d2)
-    return t.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    batch = rho.mat.shape[:-2]
+    t = rho.mat.reshape(batch + (d1, d2, d1, d2)).swapaxes(-3, -2)
+    return t.reshape(batch + (d1 * d1, d2 * d2))

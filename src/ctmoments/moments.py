@@ -47,11 +47,12 @@ class HankelPair:
     substituted_a1: float
 
 
-def _power_sums(s: np.ndarray, K: int) -> list[float]:
-    """a_1..a_K = sum s^k, each power one more product: s, s*s, (s*s)*s, ..."""
+def _power_sums(s: np.ndarray, K: int) -> list:
+    """a_1..a_K = sum s^k over the last axis, each power one more product:
+    s, s*s, (s*s)*s, ...; a stack (N, r) of spectra gives K arrays (N,)."""
     sums, power = [], s
     for _ in range(K):
-        sums.append(float(np.sum(power)))
+        sums.append(power.sum(axis=-1))
         power = power * s
     return sums
 

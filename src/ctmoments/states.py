@@ -8,7 +8,8 @@ from math import prod, sqrt
 import numpy as np
 
 from .errors import ParamOutOfRange
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _derived_state
+
 
 def maximally_mixed(dims) -> DensityMatrix:
     d = prod(dims)
@@ -24,7 +25,10 @@ def werner(d: int, x: float) -> DensityMatrix:
     eye = np.eye(d * d, dtype=np.complex128)
     flip = eye[np.arange(d * d).reshape(d, d).T.ravel()]  # F|i j> = |j i>
     mat = ((d - x) * eye + (d * x - 1) * flip) / (d**3 - d)
-    return DensityMatrix((d, d), mat)
+    # eigenvalues (1 + x)/(d(d + 1)) on the symmetric and (1 - x)/(d(d - 1))
+    # on the antisymmetric subspace; mat is real and symmetric
+    lam_min = min((1 + x) / (d * (d + 1)), (1 - x) / (d * (d - 1)))
+    return _derived_state((d, d), mat, lam_min, 0.0)
 
 
 def _ket(*amps) -> np.ndarray:
@@ -54,7 +58,9 @@ def mix_white_noise(rho: DensityMatrix, x: float) -> DensityMatrix:
         raise ParamOutOfRange(f"noise parameter x must lie in [0, 1], got {x}")
     d = rho.dim
     mat = x * rho.mat + (1.0 - x) / d * np.eye(d, dtype=np.complex128)
-    return DensityMatrix(rho.dims, mat)
+    # the spectrum shifts affinely and the identity adds no defect
+    lam_min = x * rho._lam_min + (1.0 - x) / d
+    return _derived_state(rho.dims, mat, lam_min, x * rho._defect)
 
 
 def pure_product(vectors) -> DensityMatrix:

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctmoments import _kernels, criteria, io, states
-from ctmoments.cli import find_threshold, main
+from ctmoments import _kernels, criteria, io, moments_of_state, states
+from ctmoments.cli import COARSE_STEP, find_threshold, main
+from ctmoments.errors import ParamOutOfRange
 
 
 def run(capsys, *argv):
@@ -256,6 +257,50 @@ def test_threshold_rejects_tiny_precision(capsys):
         code, _, _ = run(capsys, "threshold", "--family", "werner", "--d", "2",
                          "--criterion", "ppt", "--precision", precision)
         assert code == 2, precision
+
+
+@pytest.mark.parametrize("lo, hi, precision", [
+    (0.0, 1.0, 0.0),            # would bisect forever at adjacent floats
+    (0.0, 1.0, float("nan")),   # would return the coarse midpoint
+    (0.0, 1.0, 1e-9),
+    (1.0, -1.0, 1e-5),          # an empty grid
+    (0.5, 0.5, 1e-5),
+    (0.0, float("inf"), 1e-5),
+])
+def test_find_threshold_checks_its_arguments(lo, hi, precision):
+    with pytest.raises(ParamOutOfRange):
+        find_threshold(lambda x: states.werner(2, x), "ppt", lo, hi, precision=precision)
+
+
+def threshold_payload(capsys, *argv):
+    code, out, err = run(capsys, "threshold", *argv)
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("criterion", ["dv", "thm1-plain"])
+def test_threshold_payload_reports_evaluations_and_closed_form(capsys, criterion):
+    payload = threshold_payload(capsys, "--family", "tiles-ppt", "--criterion", criterion)
+    # a white-noise sweep scales T: a_k(x) = x^k a_k(1)
+    _, a1, a2, a3 = moments_of_state(states.tiles_ppt(), False, 3).values
+    bound = criteria.dv_bound(3, 3)
+    want = bound / a1 if criterion == "dv" else bound * a3 / a2**2
+    assert payload["closed_form"] == pytest.approx(want, abs=1e-12)
+    assert abs(payload["threshold"] - want) < 1e-5
+    grid = int(round(1 / COARSE_STEP)) + 1
+    assert payload["evaluations"] == grid + ceil(log2(COARSE_STEP / 1e-5))
+
+
+def test_threshold_payload_werner_closed_form(capsys):
+    payload = threshold_payload(capsys, "--family", "werner", "--d", "3",
+                                "--criterion", "thm1-plain")
+    assert payload["closed_form"] == pytest.approx(-1 / 3, abs=1e-15)
+    assert abs(payload["threshold"] - payload["closed_form"]) < 1e-5
+    grid = int(round(2 / COARSE_STEP)) + 1
+    assert payload["evaluations"] == grid + ceil(log2(COARSE_STEP / 1e-5))
+    for argv in (("--family", "werner", "--d", "3", "--criterion", "ppt"),
+                 ("--family", "tiles-ppt", "--criterion", "li")):
+        assert threshold_payload(capsys, *argv)["closed_form"] is None
 
 
 def test_threshold_werner_missing_d(capsys):

@@ -207,7 +207,8 @@ def test_one_svd_per_distinct_unfolding(monkeypatch):
     svd = criteria.singular_values
 
     def counted(m):
-        shapes.append(m.shape)
+        assert m.shape[0] == 1  # evaluate_all analyses a stack of one
+        shapes.append(m.shape[1:])
         return svd(m)
 
     monkeypatch.setattr(criteria, "singular_values", counted)

@@ -55,3 +55,17 @@ def test_kernel_matches_brute_force_on_uneven_shapes(dims):
     got = expectation_tensor(rho, stacks, dims)
     assert got.shape == tuple(len(s) for s in stacks)
     np.testing.assert_allclose(got, brute_force_expectations(rho, stacks), atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3, 2), (3, 3)])
+def test_stacked_states_match_one_at_a_time(dims):
+    rng = np.random.default_rng(41)
+    mats = np.stack([random_density(dims, rng).mat for _ in range(5)])
+    stacks = [
+        rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+        for m, d in zip((3, 5, 2), dims)
+    ]
+    got = expectation_tensor(mats, stacks, dims)
+    assert got.shape == (5,) + tuple(len(s) for s in stacks)
+    for mat, row in zip(mats, got):
+        assert np.array_equal(row, expectation_tensor(mat, stacks, dims))

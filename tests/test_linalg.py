@@ -1,4 +1,5 @@
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ctmoments import (
     singular_values,
     trace_norm,
 )
+from ctmoments.states import random_density
 from ctmoments.errors import (
     InvalidDimension,
     NonSquare,
@@ -160,3 +162,25 @@ def test_density_matrix_validation():
     for dims in [(), (1, 2)]:
         with pytest.raises(InvalidDimension):
             DensityMatrix(dims, np.eye(2) / 2)
+
+
+def test_matrix_functions_act_on_stacks():
+    rng = np.random.default_rng(13)
+    rhos = [random_density((2, 3), rng) for _ in range(4)]
+    stack = SimpleNamespace(dims=(2, 3), mat=np.stack([r.mat for r in rhos]))
+    pts, realigned = partial_transpose(stack), realign(stack)
+    assert pts.shape == (4, 6, 6) and realigned.shape == (4, 4, 9)
+    eigs, svs = hermitian_eigenvalues(pts), singular_values(realigned)
+    norms = trace_norm(realigned)
+    for k, rho in enumerate(rhos):
+        assert np.array_equal(pts[k], partial_transpose(rho))
+        assert np.array_equal(realigned[k], realign(rho))
+        assert np.array_equal(eigs[k], hermitian_eigenvalues(pts[k]))
+        assert np.array_equal(svs[k], singular_values(realigned[k]))
+        assert norms[k] == trace_norm(realigned[k])
+    assert is_psd(pts[:, :4, :4] @ pts[:, :4, :4].conj().swapaxes(-1, -2))
+    assert is_psd(np.stack([np.eye(2), np.eye(2)]))
+    assert not is_psd(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+    pts[2, 0, 1] += 1e-6  # one non-Hermitian member fails the whole stack
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(pts)

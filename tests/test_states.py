@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctmoments import (
+    DensityMatrix,
     bell,
     ghz,
     hermitian_eigenvalues,
@@ -14,7 +17,8 @@ from ctmoments import (
     w_state,
     werner,
 )
-from ctmoments.errors import NotNormalized, ParamOutOfRange
+from ctmoments.errors import NotHermitian, NotNormalized, NotPositive, ParamOutOfRange
+from ctmoments.linalg import _derived_state
 from ctmoments.states import (
     FAMILIES,
     random_density,
@@ -158,3 +162,60 @@ def test_random_separable_is_ppt():
     for _ in range(10):
         rho = random_separable((2, 2), rng)
         assert is_psd(partial_transpose(rho))
+
+
+def measured(rho):
+    """(lambda_min, Hermiticity defect) of a fresh, fully validated copy."""
+    full = DensityMatrix(rho.dims, rho.mat)
+    m = rho.mat
+    defect = float(np.abs(m - m.conj().T).max())
+    assert full._defect == defect
+    assert full._lam_min == float(np.linalg.eigvalsh(m)[0])
+    return full._lam_min, defect
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4), (5, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 3),
+    x=st.floats(0.0, 1.0),
+    y=st.floats(0.0, 1.0),
+)
+def test_mixture_residuals_match_measured(dims, seed, rank, x, y):
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    base = DensityMatrix(dims, g @ g.conj().T / np.linalg.norm(g) ** 2)
+    for rho in (mix_white_noise(base, x), mix_white_noise(mix_white_noise(base, y), x)):
+        lam_min, defect = measured(rho)
+        assert abs(rho._lam_min - lam_min) <= 1e-13
+        assert abs(rho._defect - defect) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 5), x=st.floats(-1.0, 1.0))
+def test_werner_residuals_match_measured(d, x):
+    rho = werner(d, x)
+    lam_min, defect = measured(rho)
+    assert abs(rho._lam_min - lam_min) <= 1e-13
+    assert rho._defect == defect == 0.0
+
+
+def test_derived_states_keep_every_rule():
+    mat = np.eye(4, dtype=complex) / 4
+    assert _derived_state((2, 2), mat, 0.25, 0.0)._lam_min == 0.25
+    with pytest.raises(NotHermitian):
+        _derived_state((2, 2), mat, 0.25, 1e-6)
+    with pytest.raises(NotHermitian):
+        _derived_state((2, 2), mat * np.nan, 0.25, 0.0)
+    with pytest.raises(NotNormalized):
+        _derived_state((2, 2), 2 * mat, 0.5, 0.0)
+    with pytest.raises(NotPositive):
+        _derived_state((2, 2), mat, -1e-6, 0.0)
+    for x in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ParamOutOfRange):
+            mix_white_noise(bell(), x)
+    for x in (-1.1, 1.1, float("nan")):
+        with pytest.raises(ParamOutOfRange):
+            werner(3, x)

@@ -1,0 +1,119 @@
+"""The threshold search scores its coarse grid as stacked analyses: it must
+find exactly what a one-state-at-a-time search finds, and stay cheap."""
+
+from math import ceil, log2
+
+import numpy as np
+import pytest
+
+from ctmoments import DensityMatrix, criteria, evaluate_all, states
+from ctmoments.cli import COARSE_STEP, criterion_margin, find_threshold
+from ctmoments.criteria import DEFAULT_TOL
+
+SWEEP_CRITERIA = ("ppt", "ccnr", "dv", "li", "thm1-plain", "thm1-canonical",
+                  "thm2-plain", "thm2-canonical")
+
+
+def reference_search(state_at, criterion, lo, hi, precision=1e-5):
+    """find_threshold's grid and bisection, one criterion_margin per state."""
+    n_steps = int(round((hi - lo) / COARSE_STEP))
+    xs = np.linspace(lo, hi, n_steps + 1)
+    gs = [criterion_margin(state_at(x), criterion, DEFAULT_TOL) for x in xs]
+    crossings, brackets = [], []
+    for i in range(n_steps):
+        if (gs[i] > 0) == (gs[i + 1] > 0):
+            continue
+        a, b, ga = float(xs[i]), float(xs[i + 1]), gs[i]
+        brackets.append((a, b))
+        while b - a > precision:
+            mid = 0.5 * (a + b)
+            gm = criterion_margin(state_at(mid), criterion, DEFAULT_TOL)
+            if (gm > 0) == (ga > 0):
+                a, ga = mid, gm
+            else:
+                b = mid
+        crossings.append(0.5 * (a + b))
+    return crossings, brackets
+
+
+def pure(dims, seed):
+    v = states.random_pure_state(int(np.prod(dims)), np.random.default_rng(seed))
+    return DensityMatrix(dims, np.outer(v, v.conj()))
+
+
+def noise_family(rho):
+    return (lambda x: states.mix_white_noise(rho, x)), 0.0, 1.0
+
+
+def werner_family(d):
+    return (lambda x: states.werner(d, x)), -1.0, 1.0
+
+
+FAMILIES = {
+    "tiles-ppt": (lambda: noise_family(states.tiles_ppt()), SWEEP_CRITERIA),
+    **{f"werner-{d}": (lambda d=d: werner_family(d), SWEEP_CRITERIA) for d in (2, 3, 4)},
+    **{f"pure-{dims}": (lambda dims=dims: noise_family(pure(dims, 100 + sum(dims))),
+                        SWEEP_CRITERIA)
+       for dims in ((2, 2), (2, 3), (3, 3), (4, 4))},
+    "ghz-3": (lambda: noise_family(states.ghz(3)),
+              ("dv", "li", "thm3-plain", "thm3-canonical")),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_grid_search_matches_one_state_at_a_time(family):
+    make, names = FAMILIES[family]
+    state_at, lo, hi = make()
+    for name in names:
+        assert find_threshold(state_at, name, lo, hi) == \
+            reference_search(state_at, name, lo, hi), name
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 5),
+                                  (2, 2, 2), (3, 3, 3)])
+def test_stacked_rows_match_evaluate_all(dims):
+    rng = np.random.default_rng(sum(dims))
+    rhos = [states.random_density(dims, rng), states.random_separable(dims, rng),
+            states.random_pure_product(dims, rng), pure(dims, 7),
+            states.mix_white_noise(pure(dims, 8), 0.6)]
+    rows = criteria._evaluate(dims, np.stack([r.mat for r in rhos]), DEFAULT_TOL, None)
+    assert len(rows) == len(rhos)
+    for rho, row in zip(rhos, rows):
+        assert [r.to_dict() for r in row] == [r.to_dict() for r in evaluate_all(rho)]
+
+
+def test_swept_states_need_no_eigensolver(monkeypatch):
+    bases = [states.tiles_ppt(), pure((2, 3), 1), states.ghz(3)]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for x in np.linspace(0.0, 1.0, 11):
+        for base in bases:
+            states.mix_white_noise(base, x)
+        states.mix_white_noise(states.mix_white_noise(bases[0], 0.5), x)
+    for d in (2, 3, 4):
+        for x in np.linspace(-1.0, 1.0, 11):
+            states.werner(d, x)
+    assert calls == []
+
+
+def test_tiles_search_builds_one_analysis_per_block_and_bisection(monkeypatch):
+    built = []
+
+    class Counted(criteria._Analysis):
+        def __init__(self, dims, mat):
+            built.append(len(mat))
+            super().__init__(dims, mat)
+
+    monkeypatch.setattr(criteria, "_Analysis", Counted)
+    tiles = states.tiles_ppt()
+    crossings, brackets = find_threshold(
+        lambda x: states.mix_white_noise(tiles, x), "li", 0.0, 1.0)
+    assert len(brackets) == 1 and abs(crossings[0] - 0.89252) < 1e-5
+    bisections = ceil(log2(COARSE_STEP / 1e-5))
+    assert built == [64, 37] + [1] * bisections

@@ -159,10 +159,10 @@ def test_required_a1_chain_and_detection_chain(dims, seed, rank, noise):
     rho = DensityMatrix(dims, mat / np.trace(mat).real)
     if noise is not None:
         rho = mix_white_noise(rho, noise)
-    a = _Analysis(rho)
+    a = _Analysis(rho.dims, rho.mat[None])
     steps = (d - 1) // 2
     for canonical in (False, True):
-        s = a.sigmas(canonical, 1)
+        (s,) = a.sigmas(canonical, 1)
         a1, a2, a3 = (float(np.sum(s**k)) for k in (1, 2, 3))
         required = _required_a1(s, steps)
         chain = ([a2 * a2 / a3] if a3 > 0 else []) + required + [a1]
