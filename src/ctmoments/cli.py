@@ -112,9 +112,10 @@ def find_threshold(
     """
     if not (isfinite(lo) and isfinite(hi) and lo < hi):
         raise ParamOutOfRange(f"need finite lo < hi, got lo = {lo}, hi = {hi}")
-    if not precision >= _MIN_PRECISION:
-        raise ParamOutOfRange(f"precision must be >= {_MIN_PRECISION}, got {precision}")
-    n_steps = int(round((hi - lo) / COARSE_STEP))
+    if not (isfinite(precision) and precision >= _MIN_PRECISION):
+        raise ParamOutOfRange(
+            f"precision must be finite and >= {_MIN_PRECISION}, got {precision}")
+    n_steps = max(1, int(round((hi - lo) / COARSE_STEP)))
     xs = np.linspace(lo, hi, n_steps + 1)
     gs = []
     for start in range(0, len(xs), _GRID_BLOCK):
@@ -137,15 +138,17 @@ def find_threshold(
     return crossings, brackets
 
 
-def _closed_form(family, params, base, criterion) -> float | None:
-    """The threshold in closed form, where one is known: werner thm1-plain
-    at (2 - d)/d, and bound / quantity at x = 1 under white noise."""
+def _closed_form(family, params, base, criterion, tol) -> float | None:
+    """The threshold in closed form, where one is known and the sweep crosses:
+    werner thm1-plain at (2 - d)/d, and bound / quantity of the state at
+    x = 1 under white noise. The margin is monotone in the noise level, so
+    that sweep crosses exactly when the state at x = 1 is flagged at tol."""
     if family == "werner":
         return (2 - params["d"]) / params["d"] if criterion == "thm1-plain" else None
     if criterion not in _HOMOGENEOUS_UNDER_NOISE:
         return None
-    (report,) = criteria.evaluate_all(base, names=[criterion])
-    return report.bound / report.quantity if report.quantity > 0 else None
+    (report,) = criteria.evaluate_all(base, tol, [criterion])
+    return report.bound / report.quantity if report.violated else None
 
 
 def cmd_threshold(args) -> int:
@@ -183,7 +186,7 @@ def cmd_threshold(args) -> int:
         "crossings": crossings,
         "brackets": [list(b) for b in brackets],
         "evaluations": len(scored),
-        "closed_form": _closed_form(args.family, params, base, args.criterion),
+        "closed_form": _closed_form(args.family, params, base, args.criterion, args.tol),
     }
     print(json.dumps(payload, indent=2))
     return 0

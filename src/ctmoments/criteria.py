@@ -13,14 +13,17 @@ correlation tensor T~ on first use, takes the plain tensor T as its
 unfolding it is asked for, so a stack costs at most one tensor build and
 one stacked SVD per (tensor, mode). Every criterion is one entry of
 `_REGISTRY`, which fixes its name, its place in evaluate_all's order and
-whether it needs a bipartite state, and returns one report per state of
-the stack; the public functions are thin wrappers over it.
+whether it needs a bipartite state. An entry maps the analysis to columns
+over the stack, (quantity, bound, details), and `_evaluate` alone checks
+tol and the names and turns the columns into reports; the public
+functions are thin wrappers over evaluate_all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial, reduce
+from itertools import repeat
 from math import isfinite, prod, sqrt
 
 import numpy as np
@@ -107,42 +110,19 @@ class _Analysis:
         return self._sigmas[key]
 
 
-def _reports(name, quantity, bound, tol, details=None) -> list[CriterionReport]:
-    """One report per state: margin = quantity - bound, violated = margin > tol.
-
-    quantity holds one value per state; bound one per state or one shared.
-    """
-    quantity = np.asarray(quantity, dtype=np.float64).tolist()
-    bounds = np.asarray(bound, dtype=np.float64).tolist()
-    if not isinstance(bounds, list):
-        bounds = [bounds] * len(quantity)
-    reports = []
-    for k, (q, b) in enumerate(zip(quantity, bounds)):
-        margin = q - b
-        detail = None if details is None else details[k]
-        reports.append(CriterionReport(name, q, b, margin > tol, margin, detail))
-    return reports
-
-
-def _kind(canonical: bool) -> str:
-    return "canonical" if canonical else "plain"
-
-
-def _ppt(a: _Analysis, tol) -> list[CriterionReport]:
+def _ppt(a: _Analysis):
     lam_min = hermitian_eigenvalues(partial_transpose(a))[:, -1]
-    details = [{"min_eigenvalue": lam} for lam in lam_min.tolist()]
-    return _reports("ppt", -lam_min, 0.0, tol, details)
+    return -lam_min, 0.0, [{"min_eigenvalue": lam} for lam in lam_min.tolist()]
 
 
-def _ccnr(a: _Analysis, tol) -> list[CriterionReport]:
-    return _reports("ccnr", trace_norm(realign(a)), 1.0, tol)
+def _ccnr(a: _Analysis):
+    return trace_norm(realign(a)), 1.0, None
 
 
-def _trace_norm_test(extended: bool, a: _Analysis, tol) -> list[CriterionReport]:
+def _trace_norm_test(extended: bool, a: _Analysis):
     """Max over mode-k unfoldings of the trace norm of T~ (li) or T (dv)."""
     norms = (a.sigmas(extended, k).sum(axis=-1) for k in range(1, len(a.dims) + 1))
-    return _reports("li" if extended else "dv", reduce(np.maximum, norms),
-                    a.bounds[extended], tol)
+    return reduce(np.maximum, norms), a.bounds[extended], None
 
 
 def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +131,8 @@ def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[np.ndarray, 
     return m2 * m2, a.bounds[extended] * m3
 
 
-def _thm1(canonical: bool, a: _Analysis, tol) -> list[CriterionReport]:
-    quantity, bound = _moment_sides(canonical, a, 1)
-    return _reports(f"thm1-{_kind(canonical)}", quantity, bound, tol)
+def _thm1(canonical: bool, a: _Analysis):
+    return (*_moment_sides(canonical, a, 1), None)
 
 
 def _required_a1(s: np.ndarray, steps: int) -> list[float]:
@@ -185,7 +164,7 @@ def _required_a1(s: np.ndarray, steps: int) -> list[float]:
     return required
 
 
-def _thm2(canonical: bool, a: _Analysis, tol) -> list[CriterionReport]:
+def _thm2(canonical: bool, a: _Analysis):
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
     sigmas = a.sigmas(canonical, 1)
     bound = a.bounds[canonical]
@@ -203,10 +182,10 @@ def _thm2(canonical: bool, a: _Analysis, tol) -> list[CriterionReport]:
             "required_a1": required,
             "b_min_eigenvalues": [(bound * m3 - m2 * m2) / lam_max],
         })
-    return _reports(f"thm2-{_kind(canonical)}", quantities, bound, tol, details)
+    return quantities, bound, details
 
 
-def _thm3(extended: bool, a: _Analysis, tol) -> list[CriterionReport]:
+def _thm3(extended: bool, a: _Analysis):
     """Per-mode test of m2^2 <= bound * m3 over all unfoldings."""
     sides = [
         [side.tolist() for side in _moment_sides(extended, a, mode)]
@@ -220,13 +199,12 @@ def _thm3(extended: bool, a: _Analysis, tol) -> list[CriterionReport]:
         ]
         worst.append(max(modes, key=lambda m: m["margin"]))
         details.append({"modes": modes})
-    return _reports(
-        f"thm3-{_kind(extended)}", [m["quantity"] for m in worst],
-        [m["bound"] for m in worst], tol, details,
-    )
+    return [m["quantity"] for m in worst], [m["bound"] for m in worst], details
 
 
-# name -> (bipartite only, fn(analysis, tol)), in report order
+# name -> (bipartite only, fn(analysis) -> (quantity, bound, details)), in
+# report order; the columns hold one quantity per state, one bound per state
+# or one shared, and one detail dict per state or None
 _REGISTRY = {
     "ppt": (True, _ppt),
     "ccnr": (True, _ccnr),
@@ -241,29 +219,11 @@ _REGISTRY = {
 }
 
 
-def _run(name: str, a: _Analysis, tol: float) -> list[CriterionReport]:
-    if not (isfinite(tol) and tol >= 0):
-        raise ParamOutOfRange(f"tol must be finite and >= 0, got {tol}")
-    bipartite_only, fn = _REGISTRY[name]
-    if bipartite_only and len(a.dims) != 2:
-        raise NotBipartite(f"{name} applies to bipartite states")
-    return fn(a, tol)
-
-
-def _single(rho: DensityMatrix) -> _Analysis:
-    return _Analysis(rho.dims, rho.mat[None])
-
-
-def _pair(prefix, rho, tol):
-    a = _single(rho)
-    return _run(f"{prefix}-plain", a, tol)[0], _run(f"{prefix}-canonical", a, tol)[0]
-
-
 def theorem1(
     rho: DensityMatrix, tol: float = DEFAULT_TOL
 ) -> tuple[CriterionReport, CriterionReport]:
     """Moment inequalities a2^2 <= dv_bound * a3 and b2^2 <= li_bound * b3."""
-    return _pair("thm1", rho, tol)
+    return tuple(evaluate_all(rho, tol, ["thm1-plain", "thm1-canonical"]))
 
 
 def theorem2(
@@ -277,7 +237,7 @@ def theorem2(
     most a_1 (dv, li). detail holds substituted_a1, required_a1 and
     b_min_eigenvalues = [lambda_min(B_1)].
     """
-    return _pair("thm2", rho, tol)
+    return tuple(evaluate_all(rho, tol, ["thm2-plain", "thm2-canonical"]))
 
 
 def theorem3(
@@ -289,17 +249,17 @@ def theorem3(
     if the inequality fails in at least one mode (each unfolding's trace
     norm obeys the separable bound, so per-mode evaluation stays sound).
     """
-    return _pair("thm3", rho, tol)
+    return tuple(evaluate_all(rho, tol, ["thm3-plain", "thm3-canonical"]))
 
 
 def dv_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace-norm bound on the plain correlation tensor."""
-    return _run("dv", _single(rho), tol)[0]
+    return evaluate_all(rho, tol, ["dv"])[0]
 
 
 def li_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace-norm bound on the extended (canonical) correlation tensor."""
-    return _run("li", _single(rho), tol)[0]
+    return evaluate_all(rho, tol, ["li"])[0]
 
 
 def ppt_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -307,12 +267,12 @@ def ppt_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionRepo
 
     The quantity is -lambda_min and the bound is 0.
     """
-    return _run("ppt", _single(rho), tol)[0]
+    return evaluate_all(rho, tol, ["ppt"])[0]
 
 
 def ccnr_criterion(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Trace norm of the realigned matrix exceeding 1 certifies entanglement."""
-    return _run("ccnr", _single(rho), tol)[0]
+    return evaluate_all(rho, tol, ["ccnr"])[0]
 
 
 def evaluate_all(
@@ -322,9 +282,13 @@ def evaluate_all(
 ) -> list[CriterionReport]:
     """Run the named criteria on one shared analysis of rho.
 
+    Returns one report per name, in the order named: its quantity and
+    separable bound, margin = quantity - bound and violated = margin > tol.
     names defaults to every criterion that applies to rho, in registry
-    order; an empty list, or a name that is unknown or needs a bipartite
-    state, raises UnknownCriterion before anything is computed.
+    order. Before anything is computed, a tol that is not finite and >= 0
+    raises ParamOutOfRange, an empty list or an unknown name raises
+    UnknownCriterion, and a bipartite-only name on a state of more than
+    two parties raises NotBipartite.
     """
     (reports,) = _evaluate(rho.dims, rho.mat[None], tol, names)
     return reports
@@ -332,18 +296,29 @@ def evaluate_all(
 
 def _evaluate(dims, mat, tol, names) -> list[list[CriterionReport]]:
     """evaluate_all of each state of the stack mat (N, D, D), one analysis
-    for all of them; the states must be valid and share dims."""
-    applicable = [
-        name for name, (bipartite_only, _) in _REGISTRY.items()
-        if len(dims) == 2 or not bipartite_only
-    ]
+    for all of them; the states must be valid and share dims. The one place
+    that checks tol and the names and applies the margin rule."""
+    if not (isfinite(tol) and tol >= 0):
+        raise ParamOutOfRange(f"tol must be finite and >= 0, got {tol}")
     if names is None:
-        names = applicable
+        names = [name for name, (bipartite_only, _) in _REGISTRY.items()
+                 if len(dims) == 2 or not bipartite_only]
     if not names:
         raise UnknownCriterion("no criteria named")
-    missing = [name for name in names if name not in applicable]
-    if missing:
-        raise UnknownCriterion(f"unknown or inapplicable criteria: {missing}")
+    unknown = [name for name in names if name not in _REGISTRY]
+    if unknown:
+        raise UnknownCriterion(f"unknown criteria: {unknown}")
+    bipartite = [name for name in names if _REGISTRY[name][0]]
+    if bipartite and len(dims) != 2:
+        raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
     a = _Analysis(dims, mat)
-    by_name = [_run(name, a, tol) for name in names]
-    return [list(row) for row in zip(*by_name)]
+    rows = [[] for _ in mat]
+    for name in names:
+        quantity, bound, details = _REGISTRY[name][1](a)
+        quantity = np.asarray(quantity, dtype=np.float64).tolist()
+        bound = np.asarray(bound, dtype=np.float64).tolist()
+        bounds = bound if isinstance(bound, list) else repeat(bound)
+        for row, q, b, detail in zip(rows, quantity, bounds, details or repeat(None)):
+            margin = q - b
+            row.append(CriterionReport(name, q, b, margin > tol, margin, detail))
+    return rows

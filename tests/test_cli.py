@@ -65,7 +65,7 @@ def test_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     state = str(tmp_path / "b.json")
     run(capsys, "generate", "--family", "bell", "-o", state)
 
-    def fail(analysis, tol):
+    def fail(analysis):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setitem(criteria._REGISTRY, "ccnr", (True, fail))
@@ -97,6 +97,10 @@ def test_analyze_unknown_criterion(tmp_path, capsys):
     run(capsys, "generate", "--family", "bell", "-o", state)
     code, _, err = run(capsys, "analyze", state, "--criteria", "nope")
     assert code == 2 and "nope" in err
+    ghz = str(tmp_path / "ghz.json")
+    run(capsys, "generate", "--family", "ghz", "--n", "3", "-o", ghz)
+    code, out, err = run(capsys, "analyze", ghz, "--criteria", "ppt")
+    assert code == 2 and out == "" and "bipartite" in err
     # an empty list would report nothing and "any_violated": false
     for names in ("", ","):
         code, out, err = run(capsys, "analyze", state, "--criteria", names)
@@ -262,6 +266,7 @@ def test_threshold_rejects_tiny_precision(capsys):
 @pytest.mark.parametrize("lo, hi, precision", [
     (0.0, 1.0, 0.0),            # would bisect forever at adjacent floats
     (0.0, 1.0, float("nan")),   # would return the coarse midpoint
+    (0.0, 1.0, float("inf")),   # would return the coarse midpoint
     (0.0, 1.0, 1e-9),
     (1.0, -1.0, 1e-5),          # an empty grid
     (0.5, 0.5, 1e-5),
@@ -270,6 +275,15 @@ def test_threshold_rejects_tiny_precision(capsys):
 def test_find_threshold_checks_its_arguments(lo, hi, precision):
     with pytest.raises(ParamOutOfRange):
         find_threshold(lambda x: states.werner(2, x), "ppt", lo, hi, precision=precision)
+
+
+def test_find_threshold_short_range_keeps_one_grid_step():
+    # a range under COARSE_STEP / 2 still puts both of its ends on the grid
+    werner2 = lambda x: states.werner(2, x)
+    (wide,), _ = find_threshold(werner2, "ppt", -0.004, 0.004)
+    crossings, brackets = find_threshold(werner2, "ppt", -0.002, 0.002)
+    assert brackets == [(-0.002, 0.002)]
+    assert len(crossings) == 1 and abs(crossings[0] - wide) < 1e-5
 
 
 def threshold_payload(capsys, *argv):
@@ -298,9 +312,14 @@ def test_threshold_payload_werner_closed_form(capsys):
     assert abs(payload["threshold"] - payload["closed_form"]) < 1e-5
     grid = int(round(2 / COARSE_STEP)) + 1
     assert payload["evaluations"] == grid + ceil(log2(COARSE_STEP / 1e-5))
+    # no closed form where none is known, nor where the sweep never crosses: a
+    # product state is never flagged (bound / quantity at x = 1 would be a
+    # rounding artefact near 1), and at --tol 1 tiles-ppt is not flagged at x = 1
     for argv in (("--family", "werner", "--d", "3", "--criterion", "ppt"),
-                 ("--family", "tiles-ppt", "--criterion", "li")):
-        assert threshold_payload(capsys, *argv)["closed_form"] is None
+                 ("--family", "tiles-ppt", "--criterion", "li"),
+                 ("--family", "pure-product", "--dims", "2,2", "--criterion", "dv"),
+                 ("--family", "tiles-ppt", "--criterion", "dv", "--tol", "1")):
+        assert threshold_payload(capsys, *argv)["closed_form"] is None, argv
 
 
 def test_threshold_werner_missing_d(capsys):

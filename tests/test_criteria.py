@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from ctmoments import (
     li_bound,
     li_criterion,
     maximally_mixed,
+    mix_white_noise,
     moments_of_state,
     multi_canonical_bound,
     multi_plain_bound,
@@ -28,7 +31,7 @@ from ctmoments import (
 )
 from ctmoments.cli import criterion_margin
 from ctmoments.criteria import DEFAULT_TOL
-from ctmoments.errors import NotBipartite, ParamOutOfRange
+from ctmoments.errors import NotBipartite, ParamOutOfRange, UnknownCriterion
 from ctmoments.states import random_density, random_separable
 
 
@@ -158,6 +161,10 @@ def test_bipartite_criteria_reject_multipartite():
     for fn in (ppt_criterion, ccnr_criterion, theorem1, theorem2):
         with pytest.raises(NotBipartite):
             fn(rho)
+    with pytest.raises(NotBipartite):
+        evaluate_all(rho, names=["ppt"])
+    with pytest.raises(UnknownCriterion):
+        evaluate_all(rho, names=["nope"])
 
 
 def test_evaluate_all_report_order():
@@ -287,12 +294,43 @@ def test_quantities_invariant_under_local_unitaries_and_party_reversal(
             assert abs(g.quantity - r.quantity) <= 1e-12 * (1 + abs(r.quantity)), r.name
 
 
-def test_separable_states_never_flagged():
-    rng = np.random.default_rng(47)
-    for dims in [(2, 2), (3, 3)]:
-        for _ in range(10):
-            rho = random_separable(dims, rng)
-            assert not any(r.violated for r in evaluate_all(rho)), dims
+PROPERTY_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.sampled_from(PROPERTY_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    x=st.floats(0.0, 1.0),
+)
+def test_separable_states_never_flagged(dims, seed, x):
+    # white noise keeps a separable state separable
+    rho = mix_white_noise(random_separable(dims, np.random.default_rng(seed)), x)
+    assert [r.name for r in evaluate_all(rho) if r.violated] == []
+
+
+def _builtin_only(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(k) is str and _builtin_only(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_builtin_only(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.sampled_from(PROPERTY_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    separable=st.booleans(),
+    x=st.floats(0.0, 1.0),
+)
+def test_reports_round_trip_through_json(dims, seed, separable, x):
+    rng = np.random.default_rng(seed)
+    rho = mix_white_noise((random_separable if separable else random_density)(dims, rng), x)
+    for r in evaluate_all(rho):
+        d = r.to_dict()
+        assert json.loads(json.dumps(d)) == d, r.name
+        assert _builtin_only(d), r.name  # no numpy scalar, array or tuple
 
 
 def test_tolerance_blocks_tiny_margins():

@@ -14,13 +14,21 @@ SWEEP_CRITERIA = ("ppt", "ccnr", "dv", "li", "thm1-plain", "thm1-canonical",
                   "thm2-plain", "thm2-canonical")
 
 
-def reference_search(state_at, criterion, lo, hi, precision=1e-5):
-    """find_threshold's grid and bisection, one criterion_margin per state."""
-    n_steps = int(round((hi - lo) / COARSE_STEP))
+def reference_grid(state_at, names, lo, hi):
+    """find_threshold's coarse grid, each state scored once for every name by
+    its own evaluate_all: {name: margin - tol per grid point}."""
+    n_steps = max(1, int(round((hi - lo) / COARSE_STEP)))
     xs = np.linspace(lo, hi, n_steps + 1)
-    gs = [criterion_margin(state_at(x), criterion, DEFAULT_TOL) for x in xs]
+    rows = [evaluate_all(state_at(x), DEFAULT_TOL, list(names)) for x in xs]
+    return xs, {name: [row[k].margin - DEFAULT_TOL for row in rows]
+                for k, name in enumerate(names)}
+
+
+def reference_search(state_at, criterion, xs, gs, precision=1e-5):
+    """find_threshold's brackets and bisection on a reference grid, one
+    criterion_margin per bisection state."""
     crossings, brackets = [], []
-    for i in range(n_steps):
+    for i in range(len(xs) - 1):
         if (gs[i] > 0) == (gs[i + 1] > 0):
             continue
         a, b, ga = float(xs[i]), float(xs[i + 1]), gs[i]
@@ -64,9 +72,10 @@ FAMILIES = {
 def test_grid_search_matches_one_state_at_a_time(family):
     make, names = FAMILIES[family]
     state_at, lo, hi = make()
+    xs, margins = reference_grid(state_at, names, lo, hi)
     for name in names:
         assert find_threshold(state_at, name, lo, hi) == \
-            reference_search(state_at, name, lo, hi), name
+            reference_search(state_at, name, xs, margins[name]), name
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 5),
