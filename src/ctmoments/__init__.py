@@ -1,14 +1,7 @@
 """Entanglement detection via correlation-tensor moment criteria."""
 
 from .basis import gellmann_generators
-from .bloch import (
-    BlochDecomposition,
-    CorrelationTensor,
-    canonical_matrix,
-    correlation_tensor,
-    decompose_bipartite,
-    unfold,
-)
+from .bloch import CorrelationTensor, correlation_tensor, unfold
 from .criteria import (
     CriterionReport,
     ccnr_criterion,
@@ -28,7 +21,6 @@ from .linalg import (
     DensityMatrix,
     hermitian_eigenvalues,
     is_psd,
-    kron,
     partial_transpose,
     realign,
     singular_values,
@@ -49,17 +41,14 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochDecomposition",
     "CorrelationTensor",
     "CriterionReport",
     "DensityMatrix",
     "HankelPair",
     "MomentVector",
     "bell",
-    "canonical_matrix",
     "ccnr_criterion",
     "correlation_tensor",
-    "decompose_bipartite",
     "dv_bound",
     "dv_criterion",
     "evaluate_all",
@@ -68,7 +57,6 @@ __all__ = [
     "hankel_matrices",
     "hermitian_eigenvalues",
     "is_psd",
-    "kron",
     "li_bound",
     "li_criterion",
     "maximally_mixed",

@@ -1,4 +1,4 @@
-"""Bloch decompositions, correlation tensors, and mode-k unfoldings.
+"""Correlation tensors and their mode-k unfoldings.
 
 A state on H_{d1} (x) ... (x) H_{dn} is expanded over tensor products of
 the identity and the su(d_k) generators. The "plain" correlation tensor
@@ -6,7 +6,8 @@ collects the coefficients of pure generator products (all modes nonzero);
 the "extended" tensor additionally carries the identity component in each
 mode, so its (0, ..., 0) entry is 1 / prod(d_k) and, for two parties, it
 coincides with the canonical correlation matrix
-[[1/(d1 d2), s^t], [r, T]].
+[[1/(d1 d2), s^t], [r, T]]: the Bloch vectors r and s and the matrix T
+are its blocks [1:, 0], [0, 1:] and [1:, 1:].
 """
 
 from __future__ import annotations
@@ -19,20 +20,9 @@ import numpy as np
 from . import _kernels
 from .basis import gellmann_generators
 from .errors import InvalidCorrelationTensor, ModeOutOfRange, TooFewParties
-from .linalg import DensityMatrix, _require_bipartite
+from .linalg import DensityMatrix
 
 REALITY_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Bloch vectors r, s and correlation matrix T of a bipartite state."""
-
-    d1: int
-    d2: int
-    r: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -98,31 +88,6 @@ def correlation_tensor(rho: DensityMatrix, extended: bool = False) -> Correlatio
     raw = _kernels.expectation_tensor(rho.mat, stacks, dims)
     t = CorrelationTensor(dims=dims, entries=_real_part(raw), extended=True)
     return t if extended else _plain(t)
-
-
-def decompose_bipartite(rho: DensityMatrix) -> BlochDecomposition:
-    """Bloch coefficients r_i, s_j, T_ij of a bipartite state."""
-    d1, d2 = _require_bipartite(rho)
-    ext = correlation_tensor(rho, extended=True).entries
-    return BlochDecomposition(
-        d1=d1,
-        d2=d2,
-        r=np.ascontiguousarray(ext[1:, 0]),
-        s=np.ascontiguousarray(ext[0, 1:]),
-        T=np.ascontiguousarray(ext[1:, 1:]),
-    )
-
-
-def canonical_matrix(dec: BlochDecomposition) -> np.ndarray:
-    """Canonical correlation matrix [[1/(d1 d2), s^t], [r, T]]."""
-    d1sq = dec.d1 * dec.d1
-    d2sq = dec.d2 * dec.d2
-    out = np.empty((d1sq, d2sq), dtype=np.float64)
-    out[0, 0] = 1.0 / (dec.d1 * dec.d2)
-    out[0, 1:] = dec.s
-    out[1:, 0] = dec.r
-    out[1:, 1:] = dec.T
-    return out
 
 
 def unfold(t: CorrelationTensor, mode: int) -> np.ndarray:

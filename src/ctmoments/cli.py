@@ -141,10 +141,16 @@ def find_threshold(
 def _closed_form(family, params, base, criterion, tol) -> float | None:
     """The threshold in closed form, where one is known and the sweep crosses:
     werner thm1-plain at (2 - d)/d, and bound / quantity of the state at
-    x = 1 under white noise. The margin is monotone in the noise level, so
-    that sweep crosses exactly when the state at x = 1 is flagged at tol."""
+    x = 1 under white noise. The sweep crosses exactly when its state of
+    largest margin is flagged at tol: werner(d, -1), as werner's plain tensor
+    is proportional to d x - 1, and under white noise the state at x = 1, as
+    the margin is monotone in the noise level."""
     if family == "werner":
-        return (2 - params["d"]) / params["d"] if criterion == "thm1-plain" else None
+        if criterion != "thm1-plain":
+            return None
+        d = params["d"]
+        (report,) = criteria.evaluate_all(states.werner(d, -1.0), tol, [criterion])
+        return (2 - d) / d if report.violated else None
     if criterion not in _HOMOGENEOUS_UNDER_NOISE:
         return None
     (report,) = criteria.evaluate_all(base, tol, [criterion])

@@ -48,9 +48,11 @@ def state_from_dict(data: dict) -> tuple[DensityMatrix, dict | None]:
         raise StateFileError("dims must be a list of integers")
     d = prod(dims)
     try:
-        arr = np.asarray(matrix, dtype=np.float64)
+        arr = np.asarray(matrix)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"malformed matrix: {exc}") from None
+    if arr.dtype.kind not in "iuf":  # str, null or object entries, or all bool
+        raise StateFileError(f"matrix entries must be JSON numbers, got {arr.dtype}")
     if arr.shape != (d, d, 2):
         raise StateFileError(
             f"matrix must be {d} rows of {d} [re, im] pairs, got shape {arr.shape}"

@@ -23,11 +23,6 @@ TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with subsystem 1 as the most significant index."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def _check_hermitian(m: np.ndarray, defect=None):
     """Raise unless each matrix of m is square, finite and Hermitian.
 

@@ -21,13 +21,11 @@ from .linalg import DensityMatrix, _require_bipartite, singular_values
 class MomentVector:
     """Moments a_0, a_1, ..., a_K of a correlation object.
 
-    a_0 is the conventional ambient value, stored separately from the
-    power sums so the two are never confused.
+    values[0] is a_0, the conventional ambient value; values[1:] are the
+    power sums.
     """
 
     values: np.ndarray = field(repr=False)
-    a0_convention: float
-    source: str  # "plain" | "canonical"
     dims: tuple[int, ...]
 
     def __getitem__(self, k: int) -> float:
@@ -44,7 +42,6 @@ class HankelPair:
 
     h_hat: list[np.ndarray]
     b_hat: list[np.ndarray]
-    substituted_a1: float
 
 
 def _power_sums(s: np.ndarray, K: int) -> list:
@@ -61,7 +58,6 @@ def moment_vector(
     sigmas: np.ndarray,
     K: int,
     a0: float,
-    source: str = "plain",
     dims: tuple[int, ...] = (),
 ) -> MomentVector:
     """Power sums of the singular values up to order K, with a_0 = a0."""
@@ -71,8 +67,7 @@ def moment_vector(
     if K < 1:
         raise InsufficientMoments(f"K must be >= 1, got {K}")
     values = np.array([a0] + _power_sums(s, K))
-    return MomentVector(values=values, a0_convention=float(a0),
-                        source=source, dims=tuple(dims))
+    return MomentVector(values=values, dims=tuple(dims))
 
 
 def moments_of_state(
@@ -88,10 +83,7 @@ def moments_of_state(
     else:
         a0 = float((d1 * d1 - 1) * (d2 * d2 - 1))
     sigmas = singular_values(unfold(correlation_tensor(rho, extended=canonical), 1))
-    return moment_vector(
-        sigmas, d1 * d2 if K is None else K, a0,
-        source="canonical" if canonical else "plain", dims=(d1, d2),
-    )
+    return moment_vector(sigmas, d1 * d2 if K is None else K, a0, dims=(d1, d2))
 
 
 def hankel_matrices(m: MomentVector, substituted_a1: float) -> HankelPair:
@@ -113,5 +105,4 @@ def hankel_matrices(m: MomentVector, substituted_a1: float) -> HankelPair:
 
     h_hat = [hankel(k + 1, 0) for k in range(1, D // 2 + 1)]
     b_hat = [hankel(l + 1, 1) for l in range(1, (D - 1) // 2 + 1)]
-    return HankelPair(h_hat=h_hat, b_hat=b_hat,
-                      substituted_a1=float(substituted_a1))
+    return HankelPair(h_hat=h_hat, b_hat=b_hat)

@@ -24,7 +24,6 @@ from ctmoments import (
     moments_of_state,
     ppt_criterion,
     theorem1,
-    theorem2,
     theorem3,
     tiles_ppt,
     werner,
@@ -34,6 +33,7 @@ from ctmoments.moments import hankel_matrices
 from ctmoments.states import random_density, random_pure_product, random_separable
 
 BIPARTITE_DIMS = [(2, 2), (2, 3), (3, 3)]
+THEOREM_NAMES = [f"thm{k}-{kind}" for k in (1, 2, 3) for kind in ("plain", "canonical")]
 
 
 def _finish(capsys, label, checks):
@@ -196,12 +196,13 @@ def test_criterion_6_holder_chain(capsys):
         dims = BIPARTITE_DIMS[i % 3]
         rho = random_density(dims, rng)
         for canonical in (False, True):
-            m = moments_of_state(rho, canonical=canonical, K=9)
+            # one SVD serves both checks: the chain reads up to a_9, the
+            # Hankel matrices up to a_{d1*d2}
+            m = moments_of_state(rho, canonical=canonical, K=max(9, dims[0] * dims[1]))
             for k in range(2, 9):
                 if m[k] ** 2 > m[k - 1] * m[k + 1] + 1e-12:
                     bad_chain.append((i, dims, canonical, k))
-            md = moments_of_state(rho, canonical=canonical)
-            pair = hankel_matrices(md, md[1])
+            pair = hankel_matrices(m, m[1])
             for mat in pair.h_hat + pair.b_hat:
                 lam = float(np.linalg.eigvalsh(mat)[0])
                 scale = max(1.0, float(np.max(np.abs(mat))))
@@ -240,12 +241,12 @@ def test_criterion_8_consistency(capsys):
     for i in range(1000):
         dims = BIPARTITE_DIMS[i % 3]
         rho = random_density(dims, rng)
-        t1 = theorem1(rho)
-        t3 = theorem3(rho)
+        # one analysis per state: thm1, thm2 and thm3, each plain then canonical
+        reports = evaluate_all(rho, names=THEOREM_NAMES)
+        t1, t2, t3 = reports[0:2], reports[2:4], reports[4:6]
         for a, b in zip(t1, t3):
             if abs(a.margin - b.margin) > 1e-10:
                 bad_margin.append((i, dims, a.name, a.margin - b.margin))
-        t2 = theorem2(rho)
         for a, c in zip(t1, t2):
             if abs(a.margin) < 1e-12:
                 continue

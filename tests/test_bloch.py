@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from ctmoments import (
-    BlochDecomposition,
     CorrelationTensor,
     DensityMatrix,
     bloch,
-    canonical_matrix,
     correlation_tensor,
-    decompose_bipartite,
     evaluate_all,
     ghz,
     maximally_mixed,
@@ -41,47 +38,47 @@ def reconstruct(t: CorrelationTensor) -> np.ndarray:
     return out
 
 
-def reconstruct_bipartite(dec: BlochDecomposition) -> np.ndarray:
-    """Rebuild rho from r, s, T via the canonical correlation matrix."""
-    t = CorrelationTensor(dims=(dec.d1, dec.d2), entries=canonical_matrix(dec), extended=True)
-    return reconstruct(t)
+def bloch_blocks(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r, s and T of a bipartite state: blocks of [[1/(d1 d2), s^t], [r, T]]."""
+    ext = correlation_tensor(rho, extended=True).entries
+    return ext[1:, 0], ext[0, 1:], ext[1:, 1:]
 
 
 def test_maximally_mixed_has_zero_bloch_coefficients():
-    dec = decompose_bipartite(maximally_mixed((2, 2)))
-    assert np.all(dec.r == 0)
-    assert np.all(dec.s == 0)
-    assert np.all(dec.T == 0)
+    r, s, T = bloch_blocks(maximally_mixed((2, 2)))
+    assert np.all(r == 0)
+    assert np.all(s == 0)
+    assert np.all(T == 0)
 
 
 def test_pure_product_00_coefficients():
-    dec = decompose_bipartite(pure_product([[1, 0], [1, 0]]))
+    r, s, T = bloch_blocks(pure_product([[1, 0], [1, 0]]))
     # generator order puts sigma_z at index 2
-    np.testing.assert_allclose(dec.r, [0, 0, 0.25], atol=1e-14)
-    np.testing.assert_allclose(dec.s, [0, 0, 0.25], atol=1e-14)
+    np.testing.assert_allclose(r, [0, 0, 0.25], atol=1e-14)
+    np.testing.assert_allclose(s, [0, 0, 0.25], atol=1e-14)
     expected_T = np.zeros((3, 3))
     expected_T[2, 2] = 0.25
-    np.testing.assert_allclose(dec.T, expected_T, atol=1e-14)
+    np.testing.assert_allclose(T, expected_T, atol=1e-14)
 
 
 @pytest.mark.parametrize("d,x", [(2, 0.3), (2, -0.7), (3, -0.5), (3, 0.0)])
 def test_werner_correlation_matrix_closed_form(d, x):
-    dec = decompose_bipartite(werner(d, x))
+    r, s, T = bloch_blocks(werner(d, x))
     coeff = (d * x - 1) / (2 * d * (d * d - 1))
-    np.testing.assert_allclose(dec.T, coeff * np.eye(d * d - 1), atol=1e-12)
-    np.testing.assert_allclose(dec.r, 0, atol=1e-12)
-    np.testing.assert_allclose(dec.s, 0, atol=1e-12)
+    np.testing.assert_allclose(T, coeff * np.eye(d * d - 1), atol=1e-12)
+    np.testing.assert_allclose(r, 0, atol=1e-12)
+    np.testing.assert_allclose(s, 0, atol=1e-12)
 
 
 def test_canonical_matrix_maximally_mixed():
-    cm = canonical_matrix(decompose_bipartite(maximally_mixed((2, 2))))
+    cm = correlation_tensor(maximally_mixed((2, 2)), extended=True).entries
     expected = np.zeros((4, 4))
     expected[0, 0] = 0.25
     np.testing.assert_allclose(cm, expected, atol=1e-14)
 
 
 def test_canonical_matrix_pure_product():
-    cm = canonical_matrix(decompose_bipartite(pure_product([[1, 0], [1, 0]])))
+    cm = correlation_tensor(pure_product([[1, 0], [1, 0]]), extended=True).entries
     nz = {(0, 0), (0, 3), (3, 0), (3, 3)}
     for i in range(4):
         for j in range(4):
@@ -94,15 +91,6 @@ def test_plain_tensor_vanishes_for_maximally_mixed():
     for dims in [(2, 2), (3, 3), (2, 2, 2)]:
         t = correlation_tensor(maximally_mixed(dims))
         assert np.max(np.abs(t.entries)) < 1e-14
-
-
-def test_extended_tensor_matches_canonical_matrix():
-    rng = np.random.default_rng(0)
-    for dims in [(2, 2), (2, 3), (3, 3)]:
-        rho = random_density(dims, rng)
-        ext = correlation_tensor(rho, extended=True)
-        cm = canonical_matrix(decompose_bipartite(rho))
-        np.testing.assert_allclose(ext.entries, cm, atol=1e-13)
 
 
 def test_ghz3_plain_tensor_entries():
@@ -149,7 +137,7 @@ def test_bipartite_round_trip(dims):
     rng = np.random.default_rng(sum(dims))
     for _ in range(5):
         rho = random_density(dims, rng)
-        rebuilt = reconstruct_bipartite(decompose_bipartite(rho))
+        rebuilt = reconstruct(correlation_tensor(rho, extended=True))
         np.testing.assert_allclose(rebuilt, rho.mat, atol=1e-10)
 
 
@@ -173,9 +161,7 @@ def test_plain_unfolding_equals_T_block():
     for dims in [(2, 2), (3, 3)]:
         rho = random_density(dims, rng)
         t = correlation_tensor(rho)
-        np.testing.assert_allclose(
-            unfold(t, 1), decompose_bipartite(rho).T, atol=1e-12
-        )
+        np.testing.assert_allclose(unfold(t, 1), bloch_blocks(rho)[2], atol=1e-12)
 
 
 def test_tensor_entries_are_real():

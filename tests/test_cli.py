@@ -314,8 +314,11 @@ def test_threshold_payload_werner_closed_form(capsys):
     assert payload["evaluations"] == grid + ceil(log2(COARSE_STEP / 1e-5))
     # no closed form where none is known, nor where the sweep never crosses: a
     # product state is never flagged (bound / quantity at x = 1 would be a
-    # rounding artefact near 1), and at --tol 1 tiles-ppt is not flagged at x = 1
+    # rounding artefact near 1), at --tol 1 tiles-ppt is not flagged at x = 1,
+    # and at --tol 0.5 werner(2, x) is flagged nowhere
     for argv in (("--family", "werner", "--d", "3", "--criterion", "ppt"),
+                 ("--family", "werner", "--d", "2", "--criterion", "thm1-plain",
+                  "--tol", "0.5"),
                  ("--family", "tiles-ppt", "--criterion", "li"),
                  ("--family", "pure-product", "--dims", "2,2", "--criterion", "dv"),
                  ("--family", "tiles-ppt", "--criterion", "dv", "--tol", "1")):

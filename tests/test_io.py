@@ -61,6 +61,13 @@ def test_rejects_wrong_shape():
         state_from_dict(data)
 
 
+def test_rejects_string_entries():
+    data = state_to_dict(bell())
+    data["matrix"][0][0] = ["0.5", "0"]  # the value bell() has there, as text
+    with pytest.raises(StateFileError, match="JSON numbers"):
+        state_from_dict(data)
+
+
 def test_rejects_invalid_density_matrix():
     data = state_to_dict(bell())
     data["matrix"][0][0] = [5.0, 0.0]  # breaks trace normalization

@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import ctmoments
 
@@ -28,3 +29,12 @@ def test_modules_import_only_earlier_layers():
     for name in LAYER_ORDER:
         for target in _relative_imports(package / f"{name}.py"):
             assert LAYER_ORDER.index(target) < LAYER_ORDER.index(name), (name, target)
+
+
+def test_all_is_the_public_surface():
+    # __all__ names exactly the public non-module attributes, so a removal
+    # that leaves an import behind, or an import missing from __all__, fails
+    assert all(hasattr(ctmoments, name) for name in ctmoments.__all__)
+    public = {name for name, value in vars(ctmoments).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(ctmoments.__all__)

@@ -9,7 +9,6 @@ from ctmoments import (
     bell,
     hermitian_eigenvalues,
     is_psd,
-    kron,
     maximally_mixed,
     partial_transpose,
     pure_product,
@@ -28,20 +27,6 @@ from ctmoments.errors import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diag_times_identity():
-    out = kron(np.diag([1.0, -1.0]), np.eye(2))
-    assert np.array_equal(out, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_sigma_x_pair():
-    # direct 4x4 expansion: anti-diagonal of ones
-    assert np.array_equal(kron(SX, SX), np.fliplr(np.eye(4)))
 
 
 def test_eigenvalues_diagonal():

@@ -34,9 +34,9 @@ def test_moment_vector_werner_d3():
     assert abs(m[1] - 5 / 12) < 1e-14
     assert abs(m[2] - 8 * (2.5 / 48) ** 2) < 1e-16
     assert abs(m[3] - 8 * (2.5 / 48) ** 3) < 1e-16
-    from ctmoments import decompose_bipartite, singular_values
+    from ctmoments import correlation_tensor, singular_values
 
-    sv = singular_values(decompose_bipartite(werner(3, -0.5)).T)
+    sv = singular_values(correlation_tensor(werner(3, -0.5)).entries)
     np.testing.assert_allclose(sv, sigma, atol=1e-13)
 
 
@@ -66,7 +66,7 @@ def test_moments_of_maximally_mixed_plain():
 
 def test_moments_of_maximally_mixed_canonical():
     m = moments_of_state(maximally_mixed((3, 3)), canonical=True)
-    assert m.a0_convention == 81.0
+    assert m[0] == 81.0
     for k in range(1, 10):
         assert abs(m[k] - 9.0 ** (-k)) < 1e-15
 
