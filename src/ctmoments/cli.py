@@ -140,21 +140,26 @@ def find_threshold(
 
 def _closed_form(family, params, base, criterion, tol) -> float | None:
     """The threshold in closed form, where one is known and the sweep crosses:
-    werner thm1-plain at (2 - d)/d, and bound / quantity of the state at
-    x = 1 under white noise. The sweep crosses exactly when its state of
-    largest margin is flagged at tol: werner(d, -1), as werner's plain tensor
-    is proportional to d x - 1, and under white noise the state at x = 1, as
-    the margin is monotone in the noise level."""
+    werner thm1-plain at (2 - d)/d, and under white noise bound / quantity
+    of the state at x = 1, or for ppt 1/(1 - D lambda_min(rho^Gamma)), as
+    (I/D)^Gamma = I/D makes lambda_min affine in x. The sweep crosses exactly
+    when its state of largest margin is flagged at tol: werner(d, -1), as
+    werner's plain tensor is proportional to d x - 1, and under white noise
+    the state at x = 1, as the margin is monotone in the noise level."""
     if family == "werner":
         if criterion != "thm1-plain":
             return None
         d = params["d"]
         (report,) = criteria.evaluate_all(states.werner(d, -1.0), tol, [criterion])
         return (2 - d) / d if report.violated else None
-    if criterion not in _HOMOGENEOUS_UNDER_NOISE:
+    if criterion not in (*_HOMOGENEOUS_UNDER_NOISE, "ppt"):
         return None
     (report,) = criteria.evaluate_all(base, tol, [criterion])
-    return report.bound / report.quantity if report.violated else None
+    if not report.violated:
+        return None
+    if criterion == "ppt":  # the quantity is -lambda_min(rho^Gamma)
+        return 1.0 / (1.0 + base.dim * report.quantity)
+    return report.bound / report.quantity
 
 
 def cmd_threshold(args) -> int:

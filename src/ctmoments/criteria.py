@@ -9,14 +9,15 @@ Each state is analysed once, as part of a stack of states that share
 their dims: evaluate_all is a stack of one, and a threshold search scores
 its coarse grid in stacks. `_Analysis` builds the stacked extended
 correlation tensor T~ on first use, takes the plain tensor T as its
-[..., 1:, ..., 1:] block, and keeps the stacked singular values of every
-unfolding it is asked for, so a stack costs at most one tensor build and
-one stacked SVD per (tensor, mode). Every criterion is one entry of
-`_REGISTRY`, which fixes its name, its place in evaluate_all's order and
-whether it needs a bipartite state. An entry maps the analysis to columns
-over the stack, (quantity, bound, details), and `_evaluate` alone checks
-tol and the names and turns the columns into reports; the public
-functions are thin wrappers over evaluate_all.
+[..., 1:, ..., 1:] block, and keeps the stacked singular values and power
+sums a1..a3 of every unfolding it is asked for, so a stack costs at most
+one tensor build, one stacked SVD and one set of power sums per (tensor,
+mode). thm2 runs one Lanczos recurrence over the whole stack. Every
+criterion is one entry of `_REGISTRY`, which fixes its name, its place in
+evaluate_all's order and whether it needs a bipartite state. An entry maps
+the analysis to columns over the stack, (quantity, bound, details), and
+`_evaluate` alone checks tol and the names and turns the columns into
+reports; the public functions are thin wrappers over evaluate_all.
 """
 
 from __future__ import annotations
@@ -90,24 +91,33 @@ class _Analysis:
         self.bounds = (multi_plain_bound(dims), multi_canonical_bound(dims))
         self._extended: CorrelationTensor | None = None
         self._sigmas: dict[tuple[bool, int], np.ndarray] = {}
+        self._power_sums: dict[tuple[bool, int], list] = {}
 
     def tensor(self, extended: bool) -> CorrelationTensor:
         if self._extended is None:
             self._extended = correlation_tensor(self, extended=True)
         return self._extended if extended else _plain(self._extended)
 
+    def _key(self, extended: bool, mode: int) -> tuple[bool, int]:
+        # at n = 2 the mode-2 unfolding is the transpose of mode 1
+        return extended, 1 if len(self.dims) == 2 else mode
+
     def sigmas(self, extended: bool, mode: int) -> np.ndarray:
         """Singular values (N, r) of the mode-k unfoldings of T~ (extended) or T.
 
-        At n = 2 the mode-2 unfolding is the transpose of mode 1, so both
-        modes share one SVD.
+        At n = 2 both modes share one SVD.
         """
-        if len(self.dims) == 2:
-            mode = 1
-        key = (extended, mode)
+        key = self._key(extended, mode)
         if key not in self._sigmas:
             self._sigmas[key] = singular_values(unfold(self.tensor(extended), mode))
         return self._sigmas[key]
+
+    def power_sums(self, extended: bool, mode: int) -> list:
+        """[a1, a2, a3], each (N,), of the same unfolding as sigmas."""
+        key = self._key(extended, mode)
+        if key not in self._power_sums:
+            self._power_sums[key] = _power_sums(self.sigmas(*key), 3)
+        return self._power_sums[key]
 
 
 def _ppt(a: _Analysis):
@@ -127,7 +137,7 @@ def _trace_norm_test(extended: bool, a: _Analysis):
 
 def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[np.ndarray, np.ndarray]:
     """(m2^2, bound * m3) of the mode-k unfoldings; separable states keep <=."""
-    _, m2, m3 = _power_sums(a.sigmas(extended, mode), 3)
+    _, m2, m3 = a.power_sums(extended, mode)
     return m2 * m2, a.bounds[extended] * m3
 
 
@@ -135,54 +145,55 @@ def _thm1(canonical: bool, a: _Analysis):
     return (*_moment_sides(canonical, a, 1), None)
 
 
-def _required_a1(s: np.ndarray, steps: int) -> list[float]:
-    """Smallest a_1 keeping B_1..B_steps PSD, given the other moments of s.
+def _required_a1(s: np.ndarray, steps: int) -> np.ndarray:
+    """Smallest a_1 keeping B_1..B_steps PSD, given the other moments of each
+    row of s (N, r); returns (N, steps).
 
     B_l is the moment matrix of mu = sum_i s_i delta_{s_i}, so B_l(beta) is
     PSD exactly when beta >= ||P_l 1||^2_mu, P_l projecting onto
     span{x, ..., x^l}: a weighted least-squares problem, solved by a Lanczos
-    recurrence on x = s / max(s) with full reorthogonalisation. Once the
-    Krylov space stops growing it holds 1, and the answer is a_1.
+    recurrence on x = s / max(s) with full reorthogonalisation, one for the
+    whole stack. Once a row's Krylov space stops growing it holds 1, and
+    that row's answer is a_1 from then on.
     """
-    a1 = float(np.sum(s))
-    top = float(np.max(s))
-    x = s / top if top > 0 else s
+    a1 = s.sum(axis=-1, keepdims=True)
+    top = s.max(axis=-1, keepdims=True)
+    x = (s / np.where(top > 0, top, 1.0))[:, None, :]  # rows (N, 1, r)
     one = np.sqrt(x)
-    basis = np.zeros((steps, s.size))
-    required, total = [], 0.0
+    basis = np.zeros((len(s), steps, s.shape[-1]))
+    norms = np.zeros((len(s), 1, steps))
     w = x * one
     for l in range(steps):
-        for _ in range(2):
-            w = w - basis[:l].T @ (basis[:l] @ w)
-        norm = float(np.linalg.norm(w))
-        if norm <= LANCZOS_BREAKDOWN:
-            return required + [a1] * (steps - l)
-        basis[l] = w / norm
-        total += float(basis[l] @ one) ** 2
-        required.append(min(top * total, a1))  # Bessel: ||P_l 1||^2 <= a_1
-        w = x * basis[l]
-    return required
+        b = basis[:, :l]
+        for _ in range(2 if l else 0):  # nothing to orthogonalise against at l = 0
+            w -= (w @ b.swapaxes(1, 2)) @ b
+        norm = np.sqrt(w @ w.swapaxes(1, 2), out=norms[:, :, l:l + 1])
+        if norm.max() <= LANCZOS_BREAKDOWN:
+            break
+        # a row past its breakdown runs on bounded values; masked below
+        q = np.divide(w, np.maximum(norm, LANCZOS_BREAKDOWN), out=basis[:, l:l + 1])
+        w = x * q
+    total = np.cumsum((basis @ one.swapaxes(1, 2))[..., 0] ** 2, axis=-1)
+    growing = np.logical_and.accumulate(norms[:, 0] > LANCZOS_BREAKDOWN, axis=-1)
+    # Bessel: ||P_l 1||^2 <= a_1
+    return np.where(growing, np.minimum(top * total, a1), a1)
 
 
 def _thm2(canonical: bool, a: _Analysis):
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
-    sigmas = a.sigmas(canonical, 1)
     bound = a.bounds[canonical]
-    steps = (prod(a.dims) - 1) // 2
-    _, m2s, m3s = _power_sums(sigmas, 3)
-    quantities, details = [], []
-    for s, m2, m3 in zip(sigmas, m2s.tolist(), m3s.tolist()):  # one recurrence per state
-        required = _required_a1(s, steps)
-        # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
-        # sign is that of -(thm1 margin), computed from the same sums
-        lam_max = 0.5 * (bound + m3) + sqrt(0.25 * (bound - m3) ** 2 + m2 * m2)
-        quantities.append(max(required))
-        details.append({
-            "substituted_a1": bound,
-            "required_a1": required,
-            "b_min_eigenvalues": [(bound * m3 - m2 * m2) / lam_max],
-        })
-    return quantities, bound, details
+    required = _required_a1(a.sigmas(canonical, 1), (prod(a.dims) - 1) // 2)
+    _, m2, m3 = a.power_sums(canonical, 1)
+    # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
+    # sign is that of -(thm1 margin), computed from the same sums
+    m2_sq = m2 * m2
+    lam_max = 0.5 * (bound + m3) + np.sqrt(0.25 * (bound - m3) ** 2 + m2_sq)
+    b_min = (bound * m3 - m2_sq) / lam_max
+    details = [
+        {"substituted_a1": bound, "required_a1": req, "b_min_eigenvalues": [lam]}
+        for req, lam in zip(required.tolist(), b_min.tolist())
+    ]
+    return required.max(axis=-1), bound, details
 
 
 def _thm3(extended: bool, a: _Analysis):

@@ -11,6 +11,7 @@ generate -> load -> save cycle is bit-for-bit stable.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -38,13 +39,12 @@ def state_to_dict(rho: DensityMatrix, meta: dict | None = None) -> dict:
 def state_from_dict(data: dict) -> tuple[DensityMatrix, dict | None]:
     if not isinstance(data, dict):
         raise StateFileError("state file must be a JSON object")
-    if data.get("version") != STATE_FILE_VERSION:
-        raise StateFileError(
-            f"unsupported state file version {data.get('version')!r}"
-        )
+    version = data.get("version")
+    if isinstance(version, bool) or version != STATE_FILE_VERSION:  # True == 1
+        raise StateFileError(f"unsupported state file version {version!r}")
     dims = data.get("dims")
     matrix = data.get("matrix")
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise StateFileError("dims must be a list of integers")
     d = prod(dims)
     try:
@@ -57,6 +57,9 @@ def state_from_dict(data: dict) -> tuple[DensityMatrix, dict | None]:
         raise StateFileError(
             f"matrix must be {d} rows of {d} [re, im] pairs, got shape {arr.shape}"
         )
+    # np.asarray casts true and false among numbers to 1 and 0
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(matrix)))):
+        raise StateFileError("matrix entries must be JSON numbers, got true or false")
     mat = arr[..., 0] + 1j * arr[..., 1]
     try:
         rho = DensityMatrix(tuple(dims), mat)

@@ -63,16 +63,19 @@ def mix_white_noise(rho: DensityMatrix, x: float) -> DensityMatrix:
     return _derived_state(rho.dims, mat, lam_min, x * rho._defect)
 
 
+def _pure_product_matrix(vectors) -> np.ndarray:
+    """|v1 ... vn><v1 ... vn| as a complex matrix, unvalidated."""
+    full = np.array([1.0], dtype=np.complex128)
+    for v in vectors:
+        full = np.kron(full, v)
+    return np.outer(full, full.conj())
+
+
 def pure_product(vectors) -> DensityMatrix:
     """Projector onto the tensor product of the given vectors; DensityMatrix's
     trace rule checks that the product has unit norm."""
-    dims = []
-    full = np.array([1.0], dtype=np.complex128)
-    for v in vectors:
-        v = np.asarray(v, dtype=np.complex128)
-        dims.append(len(v))
-        full = np.kron(full, v)
-    return DensityMatrix(tuple(dims), np.outer(full, full.conj()))
+    vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    return DensityMatrix(tuple(map(len, vectors)), _pure_product_matrix(vectors))
 
 
 def ghz(n: int = 3) -> DensityMatrix:
@@ -110,13 +113,17 @@ def random_pure_product(dims, rng: np.random.Generator) -> DensityMatrix:
 def random_separable(
     dims, rng: np.random.Generator, max_terms: int = 10
 ) -> DensityMatrix:
-    """Convex mixture of random pure products with Dirichlet-uniform weights."""
+    """Convex mixture of random pure products with Dirichlet-uniform weights.
+
+    Only the mixture is validated: each term is the projector onto a unit
+    product vector, with lambda_min 0 and no Hermiticity defect.
+    """
     m = int(rng.integers(1, max_terms + 1))
     weights = rng.dirichlet(np.ones(m))
     d = prod(dims)
     mat = np.zeros((d, d), dtype=np.complex128)
     for w in weights:
-        mat += w * random_pure_product(dims, rng).mat
+        mat += w * _pure_product_matrix([random_pure_state(k, rng) for k in dims])
     return DensityMatrix(tuple(dims), mat)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctmoments import _kernels, criteria, io, moments_of_state, states
+from ctmoments import _kernels, cli, criteria, io, moments_of_state, states
 from ctmoments.cli import COARSE_STEP, find_threshold, main
 from ctmoments.errors import ParamOutOfRange
 
@@ -120,6 +120,15 @@ def test_analyze_malformed_file(tmp_path, capsys):
         path.write_bytes(content)
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and err.startswith("error:"), content
+
+
+def test_analyze_boolean_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "bell.json"
+    text = json.dumps(io.state_to_dict(states.bell()))
+    assert text.count("[0.0, 0.0]") == 12
+    path.write_text(text.replace("[0.0, 0.0]", "[false, 0.0]", 1))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2 and "JSON numbers" in err
 
 
 def test_generate_rejects_non_integer_seed(tmp_path, capsys, monkeypatch):
@@ -323,6 +332,26 @@ def test_threshold_payload_werner_closed_form(capsys):
                  ("--family", "pure-product", "--dims", "2,2", "--criterion", "dv"),
                  ("--family", "tiles-ppt", "--criterion", "dv", "--tol", "1")):
         assert threshold_payload(capsys, *argv)["closed_form"] is None, argv
+
+
+def test_threshold_payload_ppt_closed_form(capsys):
+    # (I/D)^Gamma = I/D, so lambda_min(rho(x)^Gamma) = x lambda + (1 - x)/D
+    # crosses 0 at 1/(1 - D lambda); bell has lambda = -1/2, D = 4
+    payload = threshold_payload(capsys, "--family", "bell", "--criterion", "ppt")
+    assert payload["closed_form"] == pytest.approx(1 / 3, abs=1e-15)
+    assert abs(payload["threshold"] - payload["closed_form"]) <= payload["precision"]
+    # tiles is PPT, so its sweep never crosses and no closed form is reported
+    payload = threshold_payload(capsys, "--family", "tiles-ppt", "--criterion", "ppt")
+    assert payload["crossings"] == [] and payload["closed_form"] is None
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4)])
+def test_ppt_closed_form_matches_bisection_on_ginibre_states(dims):
+    base = states.random_density(dims, np.random.default_rng(1))
+    closed_form = cli._closed_form(None, None, base, "ppt", criteria.DEFAULT_TOL)
+    crossings, _ = find_threshold(lambda x: states.mix_white_noise(base, x), "ppt", 0.0, 1.0)
+    assert closed_form is not None and len(crossings) == 1
+    assert abs(crossings[0] - closed_form) <= 1e-5
 
 
 def test_threshold_werner_missing_d(capsys):

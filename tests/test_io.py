@@ -68,6 +68,29 @@ def test_rejects_string_entries():
         state_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "row,col,pair", [(0, 1, [False, 0.0]), (3, 3, [0.4999999999999999, False])]
+)
+def test_rejects_boolean_entries(row, col, pair):
+    # bell() has the same numbers there, with false read as 0
+    data = state_to_dict(bell())
+    assert data["matrix"][row][col] == pair
+    data["matrix"][row][col] = pair
+    with pytest.raises(StateFileError, match="JSON numbers"):
+        state_from_dict(data)
+
+
+def test_rejects_boolean_version_and_dims():
+    data = state_to_dict(bell())
+    data["version"] = True  # equal to 1
+    with pytest.raises(StateFileError, match="version"):
+        state_from_dict(data)
+    data = state_to_dict(bell())
+    data["dims"] = [True, 2]
+    with pytest.raises(StateFileError, match="dims must be"):
+        state_from_dict(data)
+
+
 def test_rejects_invalid_density_matrix():
     data = state_to_dict(bell())
     data["matrix"][0][0] = [5.0, 0.0]  # breaks trace normalization

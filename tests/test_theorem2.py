@@ -28,7 +28,7 @@ from ctmoments import (
 )
 from ctmoments.cli import find_threshold
 from ctmoments.criteria import _Analysis, _required_a1
-from ctmoments.states import random_density, random_pure_state
+from ctmoments.states import random_density, random_pure_product, random_pure_state
 
 RATIONAL_SETS = {
     "distinct": [Fraction(3, 7), Fraction(2, 9), Fraction(1, 5), Fraction(1, 11)],
@@ -74,10 +74,71 @@ def _exact_required(sigmas, l):
 def test_required_a1_matches_exact_schur_complement(name):
     sigmas = RATIONAL_SETS[name]
     steps = len(sigmas)
-    got = _required_a1(np.array([float(s) for s in sigmas]), steps)
+    (got,) = _required_a1(np.array([[float(s) for s in sigmas]]), steps).tolist()
     for l in range(1, steps + 1):
         want = float(_exact_required(sigmas, l))
         assert abs(got[l - 1] - want) <= 1e-12 * want, (name, l, got[l - 1], want)
+
+
+def test_rational_sets_in_one_zero_padded_stack():
+    # zeros carry no weight in mu, so padding a row leaves its answers alone
+    width = max(len(sigmas) for sigmas in RATIONAL_SETS.values())
+    stack = np.zeros((len(RATIONAL_SETS), width))
+    for row, sigmas in zip(stack, RATIONAL_SETS.values()):
+        row[:len(sigmas)] = [float(s) for s in sigmas]
+    got = _required_a1(stack, width)
+    assert got.shape == (len(RATIONAL_SETS), width)
+    for (name, sigmas), row in zip(RATIONAL_SETS.items(), got.tolist()):
+        for l in range(1, width + 1):
+            want = float(_exact_required(sigmas, l))
+            assert abs(row[l - 1] - want) <= 1e-12 * want, (name, l, row[l - 1], want)
+
+
+def _sigma_rows(n, seed):
+    """n rows of singular values of the extended tensors of (4, 4) states:
+    Ginibre, pure and pure-product (rank 1); then a zero row, an all-equal
+    row and a rank-1 row in place of rows 0, n // 2 and n - 1."""
+    rng = np.random.default_rng(seed)
+    rhos = []
+    for k in range(n):
+        if k % 3 == 0:
+            rhos.append(random_density((4, 4), rng))
+        elif k % 3 == 1:
+            v = random_pure_state(16, rng)
+            rhos.append(DensityMatrix((4, 4), np.outer(v, v.conj())))
+        else:
+            rhos.append(random_pure_product((4, 4), rng))
+    rows = _Analysis((4, 4), np.stack([rho.mat for rho in rhos])).sigmas(True, 1).copy()
+    specials = (np.zeros(16), np.full(16, 0.25), np.eye(16)[0] * 0.7)
+    for k, row in zip((0, n // 2, n - 1), specials):
+        rows[k] = row
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 64, 130])
+def test_stacked_rows_equal_rows_scored_alone(n):
+    rows = _sigma_rows(n, n)
+    steps = 7
+    got = _required_a1(rows, steps)
+    assert got.shape == (n, steps)
+    for row, want in zip(rows, got):
+        assert np.array_equal(_required_a1(row[None], steps)[0], want)
+
+
+def test_entries_past_breakdown_read_a1():
+    # a row with k distinct nonzero values spans its Krylov space in k steps;
+    # from step k on it reads its a_1 exactly, rounding notwithstanding
+    rng = np.random.default_rng(5)
+    width, steps, per_k = 8, 7, 40
+    ks = np.repeat(np.arange(1, 6), per_k)
+    rows = np.zeros((len(ks) + 1, width))  # the last row stays 0: k = 0
+    for row, k in zip(rows, ks):
+        values = rng.random(k)
+        row[:] = -np.sort(-values[np.r_[np.arange(k), rng.integers(0, k, width - k)]])
+    got = _required_a1(rows, steps).tolist()
+    a1 = rows.sum(axis=-1).tolist()
+    for row, k, total in zip(got, [*ks.tolist(), 0], a1):
+        assert row[k:] == [total] * (steps - k), (k, row)
 
 
 def test_required_a1_agrees_with_hankel_eigenvalues():
@@ -164,7 +225,7 @@ def test_required_a1_chain_and_detection_chain(dims, seed, rank, noise):
     for canonical in (False, True):
         (s,) = a.sigmas(canonical, 1)
         a1, a2, a3 = (float(np.sum(s**k)) for k in (1, 2, 3))
-        required = _required_a1(s, steps)
+        (required,) = _required_a1(s[None], steps).tolist()
         chain = ([a2 * a2 / a3] if a3 > 0 else []) + required + [a1]
         for lo, hi in zip(chain, chain[1:]):
             assert lo <= hi * (1 + 1e-12), (canonical, chain)
