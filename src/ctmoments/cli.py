@@ -86,18 +86,10 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _margins(rhos, name, tol) -> list[float]:
-    """criterion_margin of each state, from one stacked analysis; the states
-    share their dims."""
-    mat = np.stack([rho.mat for rho in rhos])
-    rows = criteria._evaluate(rhos[0].dims, mat, tol, [name])
-    return [report.margin - tol for (report,) in rows]
-
-
 def criterion_margin(rho, name, tol) -> float:
     """Detection margin: positive means the named criterion flags rho."""
-    (margin,) = _margins([rho], name, tol)
-    return margin
+    ((report,),) = criteria._evaluate([rho], tol, [name])
+    return report.margin - tol
 
 
 def find_threshold(
@@ -107,8 +99,9 @@ def find_threshold(
 
     Returns (crossings, brackets): refined crossing points and the coarse
     brackets they came from. state_at maps the scalar parameter to a state.
-    The grid is scored in stacks of _GRID_BLOCK states, each bisection step
-    one state at a time.
+    The grid is scored in stacks of _GRID_BLOCK states, which must share
+    their dims (else InvalidDimension), each bisection step one state at a
+    time.
     """
     if not (isfinite(lo) and isfinite(hi) and lo < hi):
         raise ParamOutOfRange(f"need finite lo < hi, got lo = {lo}, hi = {hi}")
@@ -120,7 +113,8 @@ def find_threshold(
     gs = []
     for start in range(0, len(xs), _GRID_BLOCK):
         block = [state_at(x) for x in xs[start:start + _GRID_BLOCK]]
-        gs += _margins(block, criterion, tol)
+        rows = criteria._evaluate(block, tol, [criterion])
+        gs += [report.margin - tol for (report,) in rows]
     crossings, brackets = [], []
     for i in range(n_steps):
         if (gs[i] > 0) == (gs[i + 1] > 0):

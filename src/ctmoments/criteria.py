@@ -7,17 +7,19 @@ violated = margin > tol.
 
 Each state is analysed once, as part of a stack of states that share
 their dims: evaluate_all is a stack of one, and a threshold search scores
-its coarse grid in stacks. `_Analysis` builds the stacked extended
-correlation tensor T~ on first use, takes the plain tensor T as its
-[..., 1:, ..., 1:] block, and keeps the stacked singular values and power
-sums a1..a3 of every unfolding it is asked for, so a stack costs at most
-one tensor build, one stacked SVD and one set of power sums per (tensor,
-mode). thm2 runs one Lanczos recurrence over the whole stack. Every
-criterion is one entry of `_REGISTRY`, which fixes its name, its place in
-evaluate_all's order and whether it needs a bipartite state. An entry maps
-the analysis to columns over the stack, (quantity, bound, details), and
-`_evaluate` alone checks tol and the names and turns the columns into
-reports; the public functions are thin wrappers over evaluate_all.
+its coarse grid in stacks. `_evaluate` takes the states, checks that they
+share dims and stacks their matrices. `_Analysis` builds the stacked
+extended correlation tensor T~ on first use, takes the plain tensor T as
+its [..., 1:, ..., 1:] block, and keeps one spectrum entry per (tensor,
+mode): the stacked singular values of that unfolding and their power sums
+a1..a3, so a stack costs at most one tensor build, one stacked SVD and one
+set of power sums per (tensor, mode). thm2 runs one Lanczos recurrence
+over the whole stack. Every criterion is one entry of `_REGISTRY`, which
+fixes its name, its place in evaluate_all's order and whether it needs a
+bipartite state. An entry maps the analysis to columns over the stack,
+(quantity, bound, details), and `_evaluate` alone checks tol and the
+names and turns the columns into reports; the public functions are thin
+wrappers over evaluate_all.
 """
 
 from __future__ import annotations
@@ -30,15 +32,8 @@ from math import isfinite, prod, sqrt
 import numpy as np
 
 from .bloch import CorrelationTensor, _plain, correlation_tensor, unfold
-from .errors import NotBipartite, ParamOutOfRange, UnknownCriterion
-from .linalg import (
-    DensityMatrix,
-    hermitian_eigenvalues,
-    partial_transpose,
-    realign,
-    singular_values,
-    trace_norm,
-)
+from .errors import InvalidDimension, NotBipartite, ParamOutOfRange, UnknownCriterion
+from .linalg import DensityMatrix, partial_transpose, realign, singular_values, trace_norm
 from .moments import _power_sums
 
 DEFAULT_TOL = 1e-9
@@ -90,38 +85,31 @@ class _Analysis:
         # the separable bound on every unfolding's trace norm, indexed by extended
         self.bounds = (multi_plain_bound(dims), multi_canonical_bound(dims))
         self._extended: CorrelationTensor | None = None
-        self._sigmas: dict[tuple[bool, int], np.ndarray] = {}
-        self._power_sums: dict[tuple[bool, int], list] = {}
+        self._spectra: dict[tuple[bool, int], tuple] = {}
 
     def tensor(self, extended: bool) -> CorrelationTensor:
         if self._extended is None:
             self._extended = correlation_tensor(self, extended=True)
         return self._extended if extended else _plain(self._extended)
 
-    def _key(self, extended: bool, mode: int) -> tuple[bool, int]:
-        # at n = 2 the mode-2 unfolding is the transpose of mode 1
-        return extended, 1 if len(self.dims) == 2 else mode
+    def spectrum(self, extended: bool, mode: int) -> tuple:
+        """(sigmas, a1, a2, a3) of the mode-k unfolding of T~ (extended) or T:
+        its singular values (N, r) and their power sums, each (N,).
 
-    def sigmas(self, extended: bool, mode: int) -> np.ndarray:
-        """Singular values (N, r) of the mode-k unfoldings of T~ (extended) or T.
-
-        At n = 2 both modes share one SVD.
+        At n = 2 the mode-2 unfolding is the transpose of mode 1, so both
+        modes share one entry.
         """
-        key = self._key(extended, mode)
-        if key not in self._sigmas:
-            self._sigmas[key] = singular_values(unfold(self.tensor(extended), mode))
-        return self._sigmas[key]
-
-    def power_sums(self, extended: bool, mode: int) -> list:
-        """[a1, a2, a3], each (N,), of the same unfolding as sigmas."""
-        key = self._key(extended, mode)
-        if key not in self._power_sums:
-            self._power_sums[key] = _power_sums(self.sigmas(*key), 3)
-        return self._power_sums[key]
+        key = extended, 1 if len(self.dims) == 2 else mode
+        if key not in self._spectra:
+            s = singular_values(unfold(self.tensor(extended), key[1]))
+            self._spectra[key] = (s, *_power_sums(s, 3))
+        return self._spectra[key]
 
 
 def _ppt(a: _Analysis):
-    lam_min = hermitian_eigenvalues(partial_transpose(a))[:, -1]
+    # the states are validated, and (rho^G) - (rho^G)^dag = (rho - rho^dag)^G
+    # with max|rho^G| = max|rho|, so the partial transpose needs no check
+    lam_min = np.linalg.eigvalsh(partial_transpose(a))[:, 0]
     return -lam_min, 0.0, [{"min_eigenvalue": lam} for lam in lam_min.tolist()]
 
 
@@ -131,13 +119,13 @@ def _ccnr(a: _Analysis):
 
 def _trace_norm_test(extended: bool, a: _Analysis):
     """Max over mode-k unfoldings of the trace norm of T~ (li) or T (dv)."""
-    norms = (a.sigmas(extended, k).sum(axis=-1) for k in range(1, len(a.dims) + 1))
+    norms = (a.spectrum(extended, k)[1] for k in range(1, len(a.dims) + 1))
     return reduce(np.maximum, norms), a.bounds[extended], None
 
 
 def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[np.ndarray, np.ndarray]:
     """(m2^2, bound * m3) of the mode-k unfoldings; separable states keep <=."""
-    _, m2, m3 = a.power_sums(extended, mode)
+    _, _, m2, m3 = a.spectrum(extended, mode)
     return m2 * m2, a.bounds[extended] * m3
 
 
@@ -182,8 +170,8 @@ def _required_a1(s: np.ndarray, steps: int) -> np.ndarray:
 def _thm2(canonical: bool, a: _Analysis):
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
     bound = a.bounds[canonical]
-    required = _required_a1(a.sigmas(canonical, 1), (prod(a.dims) - 1) // 2)
-    _, m2, m3 = a.power_sums(canonical, 1)
+    s, _, m2, m3 = a.spectrum(canonical, 1)
+    required = _required_a1(s, (prod(a.dims) - 1) // 2)
     # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
     # sign is that of -(thm1 margin), computed from the same sums
     m2_sq = m2 * m2
@@ -301,14 +289,19 @@ def evaluate_all(
     UnknownCriterion, and a bipartite-only name on a state of more than
     two parties raises NotBipartite.
     """
-    (reports,) = _evaluate(rho.dims, rho.mat[None], tol, names)
+    (reports,) = _evaluate([rho], tol, names)
     return reports
 
 
-def _evaluate(dims, mat, tol, names) -> list[list[CriterionReport]]:
-    """evaluate_all of each state of the stack mat (N, D, D), one analysis
-    for all of them; the states must be valid and share dims. The one place
-    that checks tol and the names and applies the margin rule."""
+def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
+    """evaluate_all of each of the states rhos, one stacked analysis for all
+    of them. The one place that stacks states, checks that they share dims
+    (else InvalidDimension), checks tol and the names and applies the margin
+    rule."""
+    dims = rhos[0].dims
+    others = {rho.dims for rho in rhos if rho.dims != dims}
+    if others:
+        raise InvalidDimension(f"stacked states must share dims, got {dims} and {others}")
     if not (isfinite(tol) and tol >= 0):
         raise ParamOutOfRange(f"tol must be finite and >= 0, got {tol}")
     if names is None:
@@ -322,8 +315,8 @@ def _evaluate(dims, mat, tol, names) -> list[list[CriterionReport]]:
     bipartite = [name for name in names if _REGISTRY[name][0]]
     if bipartite and len(dims) != 2:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
-    a = _Analysis(dims, mat)
-    rows = [[] for _ in mat]
+    a = _Analysis(dims, np.array([rho.mat for rho in rhos]))
+    rows = [[] for _ in rhos]
     for name in names:
         quantity, bound, details = _REGISTRY[name][1](a)
         quantity = np.asarray(quantity, dtype=np.float64).tolist()

@@ -3,7 +3,7 @@ product states, white-noise mixing, and seeded random state generators."""
 
 from __future__ import annotations
 
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 
@@ -78,23 +78,27 @@ def pure_product(vectors) -> DensityMatrix:
     return DensityMatrix(tuple(map(len, vectors)), _pure_product_matrix(vectors))
 
 
+def _uniform_projector(n: int, support) -> DensityMatrix:
+    """Projector onto the equal superposition of the given n-qubit basis
+    states: exactly 1/len(support) on the support block, not the square of
+    a rounded 1/sqrt(len(support))."""
+    mat = np.zeros((2**n, 2**n), dtype=np.complex128)
+    mat[np.ix_(support, support)] = 1.0 / len(support)
+    return DensityMatrix((2,) * n, mat)
+
+
 def ghz(n: int = 3) -> DensityMatrix:
     """Projector onto (|0...0> + |1...1>) / sqrt(2) on n qubits."""
     if n < 2:
         raise ParamOutOfRange(f"ghz requires n >= 2, got {n}")
-    v = np.zeros(2**n, dtype=np.complex128)
-    v[0] = v[-1] = 1.0 / sqrt(2.0)
-    return DensityMatrix((2,) * n, np.outer(v, v.conj()))
+    return _uniform_projector(n, [0, 2**n - 1])
 
 
 def w_state(n: int = 3) -> DensityMatrix:
     """Projector onto the equal superposition of single-excitation basis states."""
     if n < 2:
         raise ParamOutOfRange(f"w requires n >= 2, got {n}")
-    v = np.zeros(2**n, dtype=np.complex128)
-    for k in range(n):
-        v[1 << k] = 1.0 / sqrt(n)
-    return DensityMatrix((2,) * n, np.outer(v, v.conj()))
+    return _uniform_projector(n, [1 << k for k in range(n)])
 
 
 def bell() -> DensityMatrix:

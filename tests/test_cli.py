@@ -345,6 +345,12 @@ def test_threshold_payload_ppt_closed_form(capsys):
     assert payload["crossings"] == [] and payload["closed_form"] is None
 
 
+def test_threshold_bell_ppt_closed_form_is_exact(capsys):
+    # bell's lambda_min(rho^Gamma) is exactly -1/2, so 1/(1 + 4/2) rounds once
+    payload = threshold_payload(capsys, "--family", "bell", "--criterion", "ppt")
+    assert payload["closed_form"] == 1 / 3
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4)])
 def test_ppt_closed_form_matches_bisection_on_ginibre_states(dims):
     base = states.random_density(dims, np.random.default_rng(1))

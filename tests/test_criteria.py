@@ -227,6 +227,23 @@ def test_one_svd_per_distinct_unfolding(monkeypatch):
         assert sorted(shapes) == sorted(want), dims
 
 
+def test_one_power_sum_set_per_distinct_unfolding(monkeypatch):
+    # dv/li read a1 from the spectrum that thm1..thm3 read a2 and a3 from
+    calls = []
+    power_sums = criteria._power_sums
+
+    def counted(s, K):
+        calls.append(s.shape)
+        return power_sums(s, K)
+
+    monkeypatch.setattr(criteria, "_power_sums", counted)
+    rng = np.random.default_rng(67)
+    for dims, want in [((3, 3), 2), ((2, 2, 2), 6)]:
+        calls.clear()
+        evaluate_all(random_density(dims, rng))
+        assert len(calls) == want, dims
+
+
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
 def test_invalid_tol_raises(tol):
     rho = maximally_mixed((2, 2))
@@ -345,3 +362,8 @@ def test_to_dict_round_trip_fields():
     d = ppt_criterion(bell()).to_dict()
     assert set(d) == {"name", "quantity", "bound", "violated", "margin", "detail"}
     assert d["violated"] is True
+
+
+def test_bell_ppt_min_eigenvalue_is_exact():
+    # bell's partial transpose holds the block [[0, 1/2], [1/2, 0]]
+    assert ppt_criterion(bell()).detail == {"min_eigenvalue": -0.5}

@@ -69,7 +69,7 @@ def test_rejects_string_entries():
 
 
 @pytest.mark.parametrize(
-    "row,col,pair", [(0, 1, [False, 0.0]), (3, 3, [0.4999999999999999, False])]
+    "row,col,pair", [(0, 1, [False, 0.0]), (3, 3, [0.5, False])]
 )
 def test_rejects_boolean_entries(row, col, pair):
     # bell() has the same numbers there, with false read as 0

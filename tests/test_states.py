@@ -141,6 +141,22 @@ def test_bell_is_two_party_ghz():
     assert bell().dims == (2, 2)
 
 
+def _uniform_on(n, support):
+    want = np.zeros((2**n, 2**n))
+    want[np.ix_(support, support)] = 1 / len(support)
+    return want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ghz_entries_are_exactly_one_half(n):
+    assert np.array_equal(ghz(n).mat, _uniform_on(n, [0, 2**n - 1]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_w_state_entries_are_exactly_one_over_n(n):
+    assert np.array_equal(w_state(n).mat, _uniform_on(n, [1 << k for k in range(n)]))
+
+
 def test_random_generators_are_seeded():
     a = random_density((2, 3), np.random.default_rng(5)).mat
     b = random_density((2, 3), np.random.default_rng(5)).mat

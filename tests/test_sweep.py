@@ -9,6 +9,7 @@ import pytest
 from ctmoments import DensityMatrix, criteria, evaluate_all, states
 from ctmoments.cli import COARSE_STEP, criterion_margin, find_threshold
 from ctmoments.criteria import DEFAULT_TOL
+from ctmoments.errors import InvalidDimension
 
 SWEEP_CRITERIA = ("ppt", "ccnr", "dv", "li", "thm1-plain", "thm1-canonical",
                   "thm2-plain", "thm2-canonical")
@@ -85,10 +86,23 @@ def test_stacked_rows_match_evaluate_all(dims):
     rhos = [states.random_density(dims, rng), states.random_separable(dims, rng),
             states.random_pure_product(dims, rng), pure(dims, 7),
             states.mix_white_noise(pure(dims, 8), 0.6)]
-    rows = criteria._evaluate(dims, np.stack([r.mat for r in rhos]), DEFAULT_TOL, None)
+    rows = criteria._evaluate(rhos, DEFAULT_TOL, None)
     assert len(rows) == len(rhos)
     for rho, row in zip(rhos, rows):
         assert [r.to_dict() for r in row] == [r.to_dict() for r in evaluate_all(rho)]
+
+
+def test_grid_block_of_mixed_dims_raises():
+    # one stacked analysis of a (2, 3) and a (3, 2) state would score the
+    # second as (2, 3), a different state with a different ppt margin
+    rng = np.random.default_rng(5)
+    low, high = states.random_density((2, 3), rng), states.random_density((3, 2), rng)
+
+    def state_at(x):
+        return states.mix_white_noise(low if x < 0.5 else high, x)
+
+    with pytest.raises(InvalidDimension, match="share dims"):
+        find_threshold(state_at, "ppt", 0.0, 1.0)
 
 
 def test_swept_states_need_no_eigensolver(monkeypatch):

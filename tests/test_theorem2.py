@@ -108,7 +108,7 @@ def _sigma_rows(n, seed):
             rhos.append(DensityMatrix((4, 4), np.outer(v, v.conj())))
         else:
             rhos.append(random_pure_product((4, 4), rng))
-    rows = _Analysis((4, 4), np.stack([rho.mat for rho in rhos])).sigmas(True, 1).copy()
+    rows = _Analysis((4, 4), np.stack([rho.mat for rho in rhos])).spectrum(True, 1)[0].copy()
     specials = (np.zeros(16), np.full(16, 0.25), np.eye(16)[0] * 0.7)
     for k, row in zip((0, n // 2, n - 1), specials):
         rows[k] = row
@@ -223,7 +223,7 @@ def test_required_a1_chain_and_detection_chain(dims, seed, rank, noise):
     a = _Analysis(rho.dims, rho.mat[None])
     steps = (d - 1) // 2
     for canonical in (False, True):
-        (s,) = a.sigmas(canonical, 1)
+        (s,) = a.spectrum(canonical, 1)[0]
         a1, a2, a3 = (float(np.sum(s**k)) for k in (1, 2, 3))
         (required,) = _required_a1(s[None], steps).tolist()
         chain = ([a2 * a2 / a3] if a3 > 0 else []) + required + [a1]
