@@ -2,7 +2,7 @@
 
 All functions operate on plain numpy arrays (complex128) and are pure:
 no argument is modified in place. The matrix functions act on the last
-two axes, so a stack (..., n, n) is handled one matrix at a time.
+two axes; validation runs its one float rule on each matrix of a stack.
 """
 
 from __future__ import annotations
@@ -24,27 +24,29 @@ PSD_ATOL = 1e-9
 
 
 def _check_hermitian(m: np.ndarray, defect=None):
-    """Raise unless each matrix of m is square, finite and Hermitian.
+    """Raise unless m is a square, finite, Hermitian matrix.
 
-    Returns (scale, defect) per matrix, with scale = max(1, max|M|) and
-    defect = max|M - M^dag|. A caller that knows the defect in closed form
-    passes it, and then only the scale is measured.
+    Returns the floats scale = max(1, max|M|) and defect = max|M - M^dag|; a
+    caller that knows the defect in closed form passes it. A stack (..., n, n)
+    runs each matrix through this rule, in order, and returns arrays of both.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    peak = np.abs(m).max(axis=(-2, -1), initial=0.0)  # NaN or Inf if any entry is
-    if not isfinite(peak.max()):
+    if m.ndim > 2:
+        rows = [_check_hermitian(m[k]) for k in np.ndindex(m.shape[:-2])]
+        scale, defect = np.reshape(rows, (-1, 2)).T.reshape((2,) + m.shape[:-2])
+        return scale, defect
+    peak = float(np.abs(m).max(initial=0.0))  # NaN or Inf if any entry is
+    if not isfinite(peak):
         raise NotHermitian("matrix contains NaN or Inf entries")
-    scale = np.maximum(1.0, peak)
+    scale = max(1.0, peak)
     if defect is None:
-        defect = np.abs(m - m.swapaxes(-2, -1).conj()).max(axis=(-2, -1), initial=0.0)
-    bad = defect > HERMITICITY_RTOL * scale
-    if bad.any():
-        k = np.argmax(bad)  # the first offending matrix of a stack
+        defect = float(np.abs(m - m.T.conj()).max(initial=0.0))
+    if defect > HERMITICITY_RTOL * scale:
         raise NotHermitian(
-            f"matrix is not Hermitian: max|M - M^dag| = {np.ravel(defect)[k]:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.1e} * {np.ravel(scale)[k]:.3e}"
+            f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}"
         )
     return scale, defect
 
@@ -69,7 +71,7 @@ def is_psd(m: np.ndarray) -> bool:
     """True iff the minimum eigenvalue is >= -PSD_ATOL * max(1, max|m|),
     for every matrix of a stack."""
     scale, _ = _check_hermitian(m)
-    return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * scale[..., None]))
+    return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * np.expand_dims(scale, -1)))
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class DensityMatrix:
         """The Hermitian, trace and PSD rules; measures what is not given."""
         m = self.mat
         scale, defect = _check_hermitian(m, defect)
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1.0) > TRACE_ATOL:
             raise NotNormalized(f"density matrix trace {tr} differs from 1")
         if lam_min is None:

@@ -3,7 +3,9 @@ product states, white-noise mixing, and seeded random state generators."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
@@ -16,15 +18,37 @@ def maximally_mixed(dims) -> DensityMatrix:
     return DensityMatrix(tuple(dims), np.eye(d, dtype=np.complex128) / d)
 
 
+def _size(family: str, name: str, value) -> int:
+    """value as an int >= 2 (a Python or numpy integer), else ParamOutOfRange."""
+    if not isinstance(value, Integral):
+        raise ParamOutOfRange(f"{family} requires an integer {name}, got {value!r}")
+    if value < 2:
+        raise ParamOutOfRange(f"{family} requires {name} >= 2, got {value}")
+    return int(value)
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The complex (n, n) identity, read-only and kept for the process."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=None)
+def _flip(d: int) -> np.ndarray:
+    """The swap F|i j> = |j i> on C^d (x) C^d, read-only and kept for the process."""
+    flip = _identity(d * d)[np.arange(d * d).reshape(d, d).T.ravel()]
+    flip.flags.writeable = False
+    return flip
+
+
 def werner(d: int, x: float) -> DensityMatrix:
     """Werner state [(d - x) I + (d x - 1) F] / (d^3 - d), separable iff x >= 0."""
-    if d < 2:
-        raise ParamOutOfRange(f"werner requires d >= 2, got {d}")
+    d = _size("werner", "d", d)
     if not -1.0 <= x <= 1.0:
         raise ParamOutOfRange(f"werner parameter x must lie in [-1, 1], got {x}")
-    eye = np.eye(d * d, dtype=np.complex128)
-    flip = eye[np.arange(d * d).reshape(d, d).T.ravel()]  # F|i j> = |j i>
-    mat = ((d - x) * eye + (d * x - 1) * flip) / (d**3 - d)
+    mat = ((d - x) * _identity(d * d) + (d * x - 1) * _flip(d)) / (d**3 - d)
     # eigenvalues (1 + x)/(d(d + 1)) on the symmetric and (1 - x)/(d(d - 1))
     # on the antisymmetric subspace; mat is real and symmetric
     lam_min = min((1 + x) / (d * (d + 1)), (1 - x) / (d * (d - 1)))
@@ -57,7 +81,7 @@ def mix_white_noise(rho: DensityMatrix, x: float) -> DensityMatrix:
     if not 0.0 <= x <= 1.0:
         raise ParamOutOfRange(f"noise parameter x must lie in [0, 1], got {x}")
     d = rho.dim
-    mat = x * rho.mat + (1.0 - x) / d * np.eye(d, dtype=np.complex128)
+    mat = x * rho.mat + (1.0 - x) / d * _identity(d)
     # the spectrum shifts affinely and the identity adds no defect
     lam_min = x * rho._lam_min + (1.0 - x) / d
     return _derived_state(rho.dims, mat, lam_min, x * rho._defect)
@@ -89,15 +113,13 @@ def _uniform_projector(n: int, support) -> DensityMatrix:
 
 def ghz(n: int = 3) -> DensityMatrix:
     """Projector onto (|0...0> + |1...1>) / sqrt(2) on n qubits."""
-    if n < 2:
-        raise ParamOutOfRange(f"ghz requires n >= 2, got {n}")
+    n = _size("ghz", "n", n)
     return _uniform_projector(n, [0, 2**n - 1])
 
 
 def w_state(n: int = 3) -> DensityMatrix:
     """Projector onto the equal superposition of single-excitation basis states."""
-    if n < 2:
-        raise ParamOutOfRange(f"w requires n >= 2, got {n}")
+    n = _size("w", "n", n)
     return _uniform_projector(n, [1 << k for k in range(n)])
 
 

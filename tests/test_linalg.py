@@ -16,6 +16,7 @@ from ctmoments import (
     singular_values,
     trace_norm,
 )
+from ctmoments.linalg import _check_hermitian
 from ctmoments.states import random_density
 from ctmoments.errors import (
     InvalidDimension,
@@ -169,3 +170,50 @@ def test_matrix_functions_act_on_stacks():
     pts[2, 0, 1] += 1e-6  # one non-Hermitian member fails the whole stack
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(pts)
+
+
+def test_empty_stack_has_nothing_to_reject():
+    assert hermitian_eigenvalues(np.zeros((0, 2, 2))).shape == (0, 2)
+    assert is_psd(np.zeros((0, 2, 2)))
+    assert hermitian_eigenvalues(np.zeros((0, 0))).shape == (0,)
+    assert hermitian_eigenvalues(np.zeros((3, 0, 0))).shape == (3, 0)
+    assert is_psd(np.zeros((0, 0))) and is_psd(np.zeros((3, 0, 0)))
+
+
+def test_stack_check_is_the_matrix_rule_per_member():
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    stack = (g + g.conj().swapaxes(-1, -2)) * rng.uniform(0.1, 3.0, size=(2, 3, 1, 1))
+    stack[0, 1, 2, 3] += 1e-13  # a defect inside the tolerance
+    scale, defect = _check_hermitian(stack)
+    assert scale.shape == defect.shape == (2, 3)
+    for k in np.ndindex(2, 3):
+        one = _check_hermitian(stack[k])
+        assert all(type(v) is float for v in one)
+        assert (scale[k], defect[k]) == one
+    assert defect[0, 1] > 0.0
+
+
+def test_nan_or_inf_in_one_stack_member_is_not_hermitian():
+    for bad in (np.nan, np.inf):
+        stack = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
+        stack[1, 0, 1] = bad
+        for check in (_check_hermitian, hermitian_eigenvalues, is_psd):
+            with pytest.raises(NotHermitian, match="NaN or Inf"):
+                check(stack)
+
+
+def test_not_hermitian_message():
+    with pytest.raises(NotHermitian) as err:
+        hermitian_eigenvalues(np.array([[0.5, 0.0], [1.0, 0.5]]))
+    assert str(err.value) == (
+        "matrix is not Hermitian: max|M - M^dag| = 1.000e+00 exceeds 1.0e-12 * 1.000e+00"
+    )
+    stack = np.stack([np.eye(2), 4.0 * np.eye(2), 4.0 * np.eye(2)])
+    stack[1, 0, 1] = 2e-11  # the first offending member is the one reported
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(NotHermitian) as err:
+        is_psd(stack)
+    assert str(err.value) == (
+        "matrix is not Hermitian: max|M - M^dag| = 2.000e-11 exceeds 1.0e-12 * 4.000e+00"
+    )

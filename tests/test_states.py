@@ -18,6 +18,7 @@ from ctmoments import (
     werner,
 )
 from ctmoments.errors import NotHermitian, NotNormalized, NotPositive, ParamOutOfRange
+from ctmoments import states
 from ctmoments.linalg import _derived_state
 from ctmoments.states import (
     FAMILIES,
@@ -235,3 +236,51 @@ def test_derived_states_keep_every_rule():
     for x in (-1.1, 1.1, float("nan")):
         with pytest.raises(ParamOutOfRange):
             werner(3, x)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_werner_bytes_match_a_fresh_build(d):
+    eye = np.eye(d * d, dtype=np.complex128)
+    flip = eye[np.arange(d * d).reshape(d, d).T.ravel()]
+    for x in np.linspace(-1.0, 1.0, 21):
+        x = float(x)
+        want = ((d - x) * eye + (d * x - 1) * flip) / (d**3 - d)
+        assert werner(d, x).mat.tobytes() == want.tobytes()
+
+
+def test_mix_white_noise_bytes_match_a_fresh_build():
+    rng = np.random.default_rng(21)
+    for rho in (tiles_ppt(), random_density((2, 3), rng), ghz(3)):
+        d = rho.dim
+        for x in np.linspace(0.0, 1.0, 21):
+            x = float(x)
+            want = x * rho.mat + (1.0 - x) / d * np.eye(d, dtype=np.complex128)
+            assert mix_white_noise(rho, x).mat.tobytes() == want.tobytes()
+
+
+def test_returned_states_do_not_share_the_cached_operators():
+    for make in (lambda: werner(3, 0.2), lambda: mix_white_noise(bell(), 0.5)):
+        want = make().mat.tobytes()
+        make().mat[:] = 7.0  # each mat is a fresh array
+        assert make().mat.tobytes() == want
+    for d in (2, 3):
+        for op in (states._identity(d * d), states._flip(d)):
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 2.0
+        assert np.array_equal(states._flip(d) @ states._flip(d), np.eye(d * d))
+
+
+def test_sizes_must_be_integers():
+    for make in (lambda: werner(2.5, 0.1), lambda: werner(3.0, 0.1),
+                 lambda: ghz(2.5), lambda: w_state(2.5), lambda: w_state("3")):
+        with pytest.raises(ParamOutOfRange, match="integer"):
+            make()
+    for make in (lambda: ghz(1), lambda: w_state(np.int64(1))):
+        with pytest.raises(ParamOutOfRange, match=">= 2"):
+            make()
+    for size in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert werner(size, 0.4).mat.tobytes() == werner(3, 0.4).mat.tobytes()
+        assert ghz(size).mat.tobytes() == ghz(3).mat.tobytes()
+        assert w_state(size).mat.tobytes() == w_state(3).mat.tobytes()
+        assert type(werner(size, 0.4).dims[0]) is int
