@@ -84,8 +84,12 @@ class _Analysis:
         self.mat = mat
         # the separable bound on every unfolding's trace norm, indexed by extended
         self.bounds = (multi_plain_bound(dims), multi_canonical_bound(dims))
+        # the criteria this analysis is scored for; _evaluate sets them, so
+        # thm2 runs one recurrence over every tensor it is named for
+        self.names: list[str] = []
         self._extended: CorrelationTensor | None = None
         self._spectra: dict[tuple[bool, int], tuple] = {}
+        self._required: dict[bool, np.ndarray] = {}
 
     def tensor(self, extended: bool) -> CorrelationTensor:
         if self._extended is None:
@@ -104,6 +108,28 @@ class _Analysis:
             s = singular_values(unfold(self.tensor(extended), key[1]))
             self._spectra[key] = (s, *_power_sums(s, 3))
         return self._spectra[key]
+
+    def required_a1(self, extended: bool) -> np.ndarray:
+        """thm2's required_a1 (N, steps) of the mode-1 unfolding of T~ or T.
+
+        One recurrence serves every thm2 tensor named: with both, the rows
+        of T (r - 1 values) are zero-padded to T~'s width r and stacked
+        under them, as zeros carry no weight in mu; one named alone runs by
+        itself, unpadded.
+        """
+        if extended not in self._required:
+            tensors = [t for t in (False, True) if _THM2_NAMES[t] in self.names]
+            if extended not in tensors:
+                tensors = [extended]
+            spectra = [self.spectrum(t, 1)[0] for t in tensors]
+            rows = spectra[-1]
+            if len(spectra) == 2:
+                rows = np.zeros((2, *rows.shape))
+                rows[0, :, :spectra[0].shape[-1]], rows[1] = spectra
+                rows = rows.reshape(-1, rows.shape[-1])
+            required = _required_a1(rows, (prod(self.dims) - 1) // 2)
+            self._required.update(zip(tensors, required.reshape(len(tensors), len(self.mat), -1)))
+        return self._required[extended]
 
 
 def _ppt(a: _Analysis):
@@ -149,12 +175,12 @@ def _required_a1(s: np.ndarray, steps: int) -> np.ndarray:
     x = (s / np.where(top > 0, top, 1.0))[:, None, :]  # rows (N, 1, r)
     one = np.sqrt(x)
     basis = np.zeros((len(s), steps, s.shape[-1]))
+    basis_t = basis.swapaxes(1, 2)  # a view: the slots not yet filled are 0
     norms = np.zeros((len(s), 1, steps))
     w = x * one
     for l in range(steps):
-        b = basis[:, :l]
         for _ in range(2 if l else 0):  # nothing to orthogonalise against at l = 0
-            w -= (w @ b.swapaxes(1, 2)) @ b
+            w -= (w @ basis_t) @ basis
         norm = np.sqrt(w @ w.swapaxes(1, 2), out=norms[:, :, l:l + 1])
         if norm.max() <= LANCZOS_BREAKDOWN:
             break
@@ -170,8 +196,8 @@ def _required_a1(s: np.ndarray, steps: int) -> np.ndarray:
 def _thm2(canonical: bool, a: _Analysis):
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
     bound = a.bounds[canonical]
-    s, _, m2, m3 = a.spectrum(canonical, 1)
-    required = _required_a1(s, (prod(a.dims) - 1) // 2)
+    _, _, m2, m3 = a.spectrum(canonical, 1)
+    required = a.required_a1(canonical)
     # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
     # sign is that of -(thm1 margin), computed from the same sums
     m2_sq = m2 * m2
@@ -200,6 +226,9 @@ def _thm3(extended: bool, a: _Analysis):
         details.append({"modes": modes})
     return [m["quantity"] for m in worst], [m["bound"] for m in worst], details
 
+
+# the thm2 name of the plain (False) and the extended (True) tensor
+_THM2_NAMES = {False: "thm2-plain", True: "thm2-canonical"}
 
 # name -> (bipartite only, fn(analysis) -> (quantity, bound, details)), in
 # report order; the columns hold one quantity per state, one bound per state
@@ -316,6 +345,7 @@ def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
     if bipartite and len(dims) != 2:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
     a = _Analysis(dims, np.array([rho.mat for rho in rhos]))
+    a.names = names
     rows = [[] for _ in rhos]
     for name in names:
         quantity, bound, details = _REGISTRY[name][1](a)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite, prod
+from numbers import Integral
 
 import numpy as np
 
@@ -74,6 +75,15 @@ def is_psd(m: np.ndarray) -> bool:
     return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * np.expand_dims(scale, -1)))
 
 
+def _check_dims(dims) -> tuple[int, ...]:
+    """dims as a tuple of ints, else InvalidDimension: non-empty, and each
+    entry a Python or numpy integer >= 2 (not a float or a string)."""
+    dims = tuple(dims)
+    if not dims or not all(isinstance(d, Integral) and d >= 2 for d in dims):
+        raise InvalidDimension(f"dims must be non-empty integers >= 2, got {dims!r}")
+    return tuple(int(d) for d in dims)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A density matrix together with its tensor-factor dimensions.
@@ -90,10 +100,8 @@ class DensityMatrix:
     _lam_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        if not dims or any(d < 2 for d in dims):
-            raise InvalidDimension(f"dims must be non-empty and all >= 2, got {dims}")
         m = np.ascontiguousarray(np.asarray(self.mat, dtype=np.complex128))
         object.__setattr__(self, "mat", m)
         dim = prod(dims)

@@ -10,12 +10,13 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ParamOutOfRange
-from .linalg import DensityMatrix, _derived_state
+from .linalg import DensityMatrix, _check_dims, _derived_state
 
 
 def maximally_mixed(dims) -> DensityMatrix:
+    dims = _check_dims(dims)
     d = prod(dims)
-    return DensityMatrix(tuple(dims), np.eye(d, dtype=np.complex128) / d)
+    return DensityMatrix(dims, np.eye(d, dtype=np.complex128) / d)
 
 
 def _size(family: str, name: str, value) -> int:

@@ -150,6 +150,25 @@ def test_density_matrix_validation():
             DensityMatrix(dims, np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("dims", [(2.7, 2), ("3", 3), (3.0, 3), (np.float64(2.0), 2), (2, None)])
+def test_density_matrix_rejects_non_integer_dims(dims):
+    # int() would truncate 2.7 to 2 and turn "3" into 3
+    with pytest.raises(InvalidDimension, match="integers"):
+        DensityMatrix(dims, np.eye(4) / 4)
+
+
+def test_density_matrix_stores_numpy_integer_dims_as_int():
+    rho = DensityMatrix((np.int64(2), np.uint8(3)), np.eye(6) / 6)
+    assert rho.dims == (2, 3) and all(type(d) is int for d in rho.dims)
+    assert maximally_mixed((np.int32(2), 2)).dims == (2, 2)
+
+
+@pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0), ("2", 2)])
+def test_maximally_mixed_rejects_non_integer_dims(dims):
+    with pytest.raises(InvalidDimension, match="integers"):
+        maximally_mixed(dims)
+
+
 def test_matrix_functions_act_on_stacks():
     rng = np.random.default_rng(13)
     rhos = [random_density((2, 3), rng) for _ in range(4)]

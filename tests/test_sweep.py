@@ -140,3 +140,21 @@ def test_tiles_search_builds_one_analysis_per_block_and_bisection(monkeypatch):
     assert len(brackets) == 1 and abs(crossings[0] - 0.89252) < 1e-5
     bisections = ceil(log2(COARSE_STEP / 1e-5))
     assert built == [64, 37] + [1] * bisections
+
+
+def test_thm2_search_runs_one_recurrence_per_block_and_bisection(monkeypatch):
+    # one tensor named: its rows run alone, unpadded (8 values at (3, 3))
+    calls = []
+    required_a1 = criteria._required_a1
+
+    def counted(s, steps):
+        calls.append(s.shape)
+        return required_a1(s, steps)
+
+    monkeypatch.setattr(criteria, "_required_a1", counted)
+    tiles = states.tiles_ppt()
+    crossings, brackets = find_threshold(
+        lambda x: states.mix_white_noise(tiles, x), "thm2-plain", 0.0, 1.0)
+    assert len(brackets) == 1 and abs(crossings[0] - 0.94929) < 1e-5
+    bisections = ceil(log2(COARSE_STEP / 1e-5))
+    assert calls == [(64, 8), (37, 8)] + [(1, 8)] * bisections

@@ -9,6 +9,7 @@ replaces, and to the chain a2^2 / a3 <= required_a1 <= a_1.
 """
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from ctmoments import (
     DensityMatrix,
+    criteria,
     dv_bound,
     evaluate_all,
     hankel_matrices,
@@ -27,8 +29,8 @@ from ctmoments import (
     tiles_ppt,
 )
 from ctmoments.cli import find_threshold
-from ctmoments.criteria import _Analysis, _required_a1
-from ctmoments.states import random_density, random_pure_product, random_pure_state
+from ctmoments.criteria import DEFAULT_TOL, _Analysis, _evaluate, _required_a1
+from ctmoments.states import random_density, random_pure_product, random_pure_state, werner
 
 RATIONAL_SETS = {
     "distinct": [Fraction(3, 7), Fraction(2, 9), Fraction(1, 5), Fraction(1, 11)],
@@ -139,6 +141,67 @@ def test_entries_past_breakdown_read_a1():
     a1 = rows.sum(axis=-1).tolist()
     for row, k, total in zip(got, [*ks.tolist(), 0], a1):
         assert row[k:] == [total] * (steps - k), (k, row)
+
+
+THM2 = ["thm2-plain", "thm2-canonical"]
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_both_thm2_tensors_share_one_recurrence(monkeypatch, n):
+    # the plain rows (8 values at (3, 4)) are zero-padded to the canonical 9
+    calls = []
+
+    def counted(s, steps):
+        calls.append(s.shape)
+        return _required_a1(s, steps)
+
+    monkeypatch.setattr(criteria, "_required_a1", counted)
+    rng = np.random.default_rng(n)
+    rhos = [random_density((3, 4), rng) for _ in range(n)]
+    if n == 1:
+        evaluate_all(rhos[0])
+    else:
+        _evaluate(rhos, DEFAULT_TOL, None)
+    assert calls == [(2 * n, 9)]
+
+
+def _thm2_states(dims, n, rng):
+    """n states of dims cycling through Ginibre, pure (rank 1), pure product
+    and, for d1 = d2, werner: the last two break down after a few steps."""
+    makers = [lambda: random_density(dims, rng), lambda: random_pure_product(dims, rng)]
+    makers.append(lambda: DensityMatrix(dims, np.outer(v := random_pure_state(prod(dims), rng),
+                                                       v.conj())))
+    if dims[0] == dims[1]:
+        makers.append(lambda: werner(dims[0], float(rng.uniform(-1.0, 1.0))))
+    return [makers[k % len(makers)]() for k in range(n)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (4, 5), (5, 5)])
+@pytest.mark.parametrize("n", [1, 64])
+def test_naming_both_thm2_tests_matches_naming_each_alone(dims, n):
+    rhos = _thm2_states(dims, n, np.random.default_rng(n * 100 + prod(dims)))
+    both = _evaluate(rhos, DEFAULT_TOL, THM2)
+    alone = [_evaluate(rhos, DEFAULT_TOL, [name]) for name in THM2]
+    a1s = _evaluate(rhos, DEFAULT_TOL, ["dv", "li"])  # the trace norms a_1
+    for k in range(n):
+        for j in range(2):
+            got, want, a1 = both[k][j], alone[j][k][0], a1s[k][j].quantity
+            assert got.violated == want.violated
+            assert got.detail["b_min_eigenvalues"] == want.detail["b_min_eigenvalues"]
+            np.testing.assert_allclose(got.detail["required_a1"], want.detail["required_a1"],
+                                       rtol=0, atol=2e-15 * a1)
+
+
+@pytest.mark.parametrize("seed,canonical", [(151, False), (152, True)])
+def test_5x5_required_a1_matches_exact_arithmetic(seed, canonical):
+    # evaluate_all's joint recurrence against exact rationals of the same
+    # float sigmas, at the last of 12 steps
+    rho = random_density((5, 5), np.random.default_rng(seed))
+    (report,) = [r for r in evaluate_all(rho) if r.name == THM2[canonical]]
+    (s,) = _Analysis(rho.dims, rho.mat[None]).spectrum(canonical, 1)[0].tolist()
+    required = report.detail["required_a1"]
+    want = float(_exact_required([Fraction(x) for x in s], len(required)))
+    assert abs(required[-1] - want) <= 1e-14 * want, (required[-1], want)
 
 
 def test_required_a1_agrees_with_hankel_eigenvalues():
