@@ -14,12 +14,14 @@ its [..., 1:, ..., 1:] block, and keeps one spectrum entry per (tensor,
 mode): the stacked singular values of that unfolding and their power sums
 a1..a3, so a stack costs at most one tensor build, one stacked SVD and one
 set of power sums per (tensor, mode). thm2 runs one Lanczos recurrence
-over the whole stack. Every criterion is one entry of `_REGISTRY`, which
-fixes its name, its place in evaluate_all's order and whether it needs a
-bipartite state. An entry maps the analysis to columns over the stack,
-(quantity, bound, details), and `_evaluate` alone checks tol and the
-names and turns the columns into reports; the public functions are thin
-wrappers over evaluate_all.
+per analysis, over the whole stack and every thm2 tensor named: with
+both, the plain rows are zero-padded to the canonical width. Rows of a
+stack stay bit-identical to the same names scored alone. Every criterion
+is one entry of `_REGISTRY`, which fixes its name, its place in
+evaluate_all's order and whether it needs a bipartite state. An entry
+maps the analysis to columns over the stack, (quantity, bound, details),
+and `_evaluate` alone checks tol and the names and turns the columns into
+reports; the public functions are thin wrappers over evaluate_all.
 """
 
 from __future__ import annotations

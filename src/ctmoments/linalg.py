@@ -76,9 +76,12 @@ def is_psd(m: np.ndarray) -> bool:
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    """dims as a tuple of ints, else InvalidDimension: non-empty, and each
-    entry a Python or numpy integer >= 2 (not a float or a string)."""
-    dims = tuple(dims)
+    """dims as a tuple of ints, else InvalidDimension: a non-empty sequence,
+    each entry a Python or numpy integer >= 2 (not a float or a string)."""
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise InvalidDimension(f"dims must be a sequence of integers, got {dims!r}") from None
     if not dims or not all(isinstance(d, Integral) and d >= 2 for d in dims):
         raise InvalidDimension(f"dims must be non-empty integers >= 2, got {dims!r}")
     return tuple(int(d) for d in dims)

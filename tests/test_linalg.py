@@ -150,7 +150,8 @@ def test_density_matrix_validation():
             DensityMatrix(dims, np.eye(2) / 2)
 
 
-@pytest.mark.parametrize("dims", [(2.7, 2), ("3", 3), (3.0, 3), (np.float64(2.0), 2), (2, None)])
+@pytest.mark.parametrize("dims", [(2.7, 2), ("3", 3), (3.0, 3), (np.float64(2.0), 2), (2, None),
+                                  4, None])
 def test_density_matrix_rejects_non_integer_dims(dims):
     # int() would truncate 2.7 to 2 and turn "3" into 3
     with pytest.raises(InvalidDimension, match="integers"):

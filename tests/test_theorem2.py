@@ -168,9 +168,11 @@ def test_both_thm2_tensors_share_one_recurrence(monkeypatch, n):
 def _thm2_states(dims, n, rng):
     """n states of dims cycling through Ginibre, pure (rank 1), pure product
     and, for d1 = d2, werner: the last two break down after a few steps."""
-    makers = [lambda: random_density(dims, rng), lambda: random_pure_product(dims, rng)]
-    makers.append(lambda: DensityMatrix(dims, np.outer(v := random_pure_state(prod(dims), rng),
-                                                       v.conj())))
+    def pure():
+        v = random_pure_state(prod(dims), rng)
+        return DensityMatrix(dims, np.outer(v, v.conj()))
+
+    makers = [lambda: random_density(dims, rng), pure, lambda: random_pure_product(dims, rng)]
     if dims[0] == dims[1]:
         makers.append(lambda: werner(dims[0], float(rng.uniform(-1.0, 1.0))))
     return [makers[k % len(makers)]() for k in range(n)]

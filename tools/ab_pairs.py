@@ -84,7 +84,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def judge(block: dict, workload: str, metric: dict) -> str:
+def judge(block: dict, metric: dict) -> str:
     name, pairs = metric["name"], block["pairs"]
     m = block["metrics"][name]
     sign = 1 if metric["better"] == "higher" else -1
@@ -167,7 +167,7 @@ def main() -> int:
         workload, _, name = args.claim.partition(":")
         (metric,) = [m for m in spec["end_to_end"] if m["name"] == name]
         report["benchmark"]["claim"] = {"workload": workload, "metric": name,
-                                        "result": judge(blocks[workload], workload, metric)}
+                                        "result": judge(blocks[workload], metric)}
     if traces:
         report["trace"] = {
             "command": f"python3 perfbench/run.py --workload W --seed N "
