@@ -16,7 +16,9 @@ a1..a3, so a stack costs at most one tensor build, one stacked SVD and one
 set of power sums per (tensor, mode). thm2 runs one Lanczos recurrence
 per analysis, over the whole stack and every thm2 tensor named: with
 both, the plain rows are zero-padded to the canonical width. Rows of a
-stack stay bit-identical to the same names scored alone. Every criterion
+stack stay bit-identical to the same names scored alone; naming one thm2
+test instead of both moves its numbers only in the last bits (about
+2e-15 a1). Every criterion
 is one entry of `_REGISTRY`, which fixes its name, its place in
 evaluate_all's order and whether it needs a bipartite state. An entry
 maps the analysis to columns over the stack, (quantity, bound, details),
@@ -81,14 +83,15 @@ class _Analysis:
     and realign read, so each of them acts on the whole stack at once.
     """
 
+    # the thm2 tensors named, as extended flags with the plain first; set by
+    # _evaluate, so thm2 runs one recurrence over all of them
+    thm2: list[bool]
+
     def __init__(self, dims: tuple[int, ...], mat: np.ndarray):
         self.dims = dims
         self.mat = mat
         # the separable bound on every unfolding's trace norm, indexed by extended
         self.bounds = (multi_plain_bound(dims), multi_canonical_bound(dims))
-        # the criteria this analysis is scored for; _evaluate sets them, so
-        # thm2 runs one recurrence over every tensor it is named for
-        self.names: list[str] = []
         self._extended: CorrelationTensor | None = None
         self._spectra: dict[tuple[bool, int], tuple] = {}
         self._required: dict[bool, np.ndarray] = {}
@@ -116,21 +119,18 @@ class _Analysis:
 
         One recurrence serves every thm2 tensor named: with both, the rows
         of T (r - 1 values) are zero-padded to T~'s width r and stacked
-        under them, as zeros carry no weight in mu; one named alone runs by
-        itself, unpadded.
+        with T~'s rows, as zeros carry no weight in mu; one named alone runs
+        by itself, unpadded.
         """
         if extended not in self._required:
-            tensors = [t for t in (False, True) if _THM2_NAMES[t] in self.names]
-            if extended not in tensors:
-                tensors = [extended]
-            spectra = [self.spectrum(t, 1)[0] for t in tensors]
+            spectra = [self.spectrum(t, 1)[0] for t in self.thm2]
             rows = spectra[-1]
             if len(spectra) == 2:
                 rows = np.zeros((2, *rows.shape))
                 rows[0, :, :spectra[0].shape[-1]], rows[1] = spectra
                 rows = rows.reshape(-1, rows.shape[-1])
             required = _required_a1(rows, (prod(self.dims) - 1) // 2)
-            self._required.update(zip(tensors, required.reshape(len(tensors), len(self.mat), -1)))
+            self._required.update(zip(self.thm2, required.reshape(len(spectra), len(self.mat), -1)))
         return self._required[extended]
 
 
@@ -347,7 +347,7 @@ def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
     if bipartite and len(dims) != 2:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
     a = _Analysis(dims, np.array([rho.mat for rho in rhos]))
-    a.names = names
+    a.thm2 = [t for t in (False, True) if _THM2_NAMES[t] in names]
     rows = [[] for _ in rhos]
     for name in names:
         quantity, bound, details = _REGISTRY[name][1](a)

@@ -1,14 +1,14 @@
 """Alternating A/B pairs of the perfbench benchmark between two git revisions.
 
     python3 tools/ab_pairs.py PARENT CHANGE --seeds 1501-1510 --out BENCH_N.json
-        [--workload W ...] [--seconds 38] [--claim W:METRIC]
-        [--trace W:SEED ...] [--trace-seconds 15] [--workdir DIR]
+        [--claim W:METRIC] [--trace W:SEED ...]
 
 Each revision is exported with `git archive` into a directory of its own,
 and each side runs its own unchanged perfbench/run.py there, so the
 benchmark always measures committed trees. Pair k runs both sides on the
 k-th seed, the parent first on even k and the change first on odd k, so
-neither side always runs on the warmer or the colder machine.
+neither side always runs on the warmer or the colder machine. Every
+workload of BENCHMARK.json runs for its run_seconds.
 
 The output file holds the environment, and under "benchmark" the
 command, the method and one "workloads" block per workload: every run,
@@ -18,7 +18,8 @@ plus change_better_pairs, the pairs the change won (ties count for
 neither side). --claim W:METRIC judges one claimed gain: met when the
 change wins at least 9 in 10 pairs and its median beats the parent's by
 more than the parent's interquartile range. --trace W:SEED adds one
-traced pair (run.py --trace 1) whose per-layer metrics go under "trace".
+traced pair (run.py --trace 1, TRACE_SECONDS long) whose per-layer
+metrics go under "trace".
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACE_SECONDS = 15
 
 
 def export(rev: str, dest: Path) -> str:
@@ -105,19 +107,15 @@ def main() -> int:
     parser.add_argument("change")
     parser.add_argument("--seeds", required=True, help="one seed per pair, e.g. 1501-1510")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain")
     parser.add_argument("--trace", action="append", default=[], help="WORKLOAD:SEED")
-    parser.add_argument("--trace-seconds", type=float, default=15.0)
-    parser.add_argument("--workdir", type=Path, help="where the trees go (default: a temp dir)")
     args = parser.parse_args()
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     seeds = parse_seeds(args.seeds)
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(rev, trees[side])
                    for side, rev in zip(SIDES, (args.parent, args.change))}
@@ -144,7 +142,7 @@ def main() -> int:
         for item in args.trace:
             workload, _, seed = item.rpartition(":")
             for side in SIDES:
-                _, result = run(trees[side], workload, int(seed), args.trace_seconds, 1)
+                _, result = run(trees[side], workload, int(seed), TRACE_SECONDS, 1)
                 traces[f"{workload} {side}"] = {
                     "failed": result["failed"],
                     **{n: round(m["value"], 4) for n, m in result["metrics"].items()}}
@@ -171,7 +169,7 @@ def main() -> int:
     if traces:
         report["trace"] = {
             "command": f"python3 perfbench/run.py --workload W --seed N "
-                       f"--seconds {args.trace_seconds:g} --trace 1",
+                       f"--seconds {TRACE_SECONDS} --trace 1",
             "runs": traces}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
