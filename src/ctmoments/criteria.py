@@ -14,16 +14,15 @@ its [..., 1:, ..., 1:] block, and keeps one spectrum entry per (tensor,
 mode): the stacked singular values of that unfolding and their power sums
 a1..a3, so a stack costs at most one tensor build, one stacked SVD and one
 set of power sums per (tensor, mode). thm2 runs one Lanczos recurrence
-per analysis, over the whole stack and every thm2 tensor named: with
-both, the plain rows are zero-padded to the canonical width. Rows of a
-stack stay bit-identical to the same names scored alone; naming one thm2
-test instead of both moves its numbers only in the last bits (about
-2e-15 a1). Every criterion
-is one entry of `_REGISTRY`, which fixes its name, its place in
-evaluate_all's order and whether it needs a bipartite state. An entry
-maps the analysis to columns over the stack, (quantity, bound, details),
-and `_evaluate` alone checks tol and the names and turns the columns into
-reports; the public functions are thin wrappers over evaluate_all.
+per analysis, over the whole stack and every thm2 tensor named, each
+zero-padded to the canonical width. A report depends only on its state,
+tol and its own name, never on the stack it was scored in or on the other
+names. Every criterion is one entry of `_REGISTRY`, which fixes its name,
+its place in evaluate_all's order and whether it needs a bipartite state.
+An entry maps the analysis to columns over the stack, (quantity, bound,
+details), and `_evaluate` alone checks tol and the names and turns the
+columns into reports; the public functions are thin wrappers over
+evaluate_all.
 """
 
 from __future__ import annotations
@@ -117,20 +116,18 @@ class _Analysis:
     def required_a1(self, extended: bool) -> np.ndarray:
         """thm2's required_a1 (N, steps) of the mode-1 unfolding of T~ or T.
 
-        One recurrence serves every thm2 tensor named: with both, the rows
-        of T (r - 1 values) are zero-padded to T~'s width r and stacked
-        with T~'s rows, as zeros carry no weight in mu; one named alone runs
-        by itself, unpadded.
+        One recurrence serves every thm2 tensor named, in one row layout:
+        each tensor's rows are zero-padded to T~'s width min(dims)^2 (T has
+        one value fewer) and stacked, as zeros carry no weight in mu, so a
+        row never depends on which other thm2 tensor is named.
         """
         if extended not in self._required:
-            spectra = [self.spectrum(t, 1)[0] for t in self.thm2]
-            rows = spectra[-1]
-            if len(spectra) == 2:
-                rows = np.zeros((2, *rows.shape))
-                rows[0, :, :spectra[0].shape[-1]], rows[1] = spectra
-                rows = rows.reshape(-1, rows.shape[-1])
-            required = _required_a1(rows, (prod(self.dims) - 1) // 2)
-            self._required.update(zip(self.thm2, required.reshape(len(spectra), len(self.mat), -1)))
+            rows = np.zeros((len(self.thm2), len(self.mat), min(self.dims) ** 2))
+            for block, t in zip(rows, self.thm2):
+                s = self.spectrum(t, 1)[0]
+                block[:, :s.shape[-1]] = s
+            required = _required_a1(rows.reshape(-1, rows.shape[-1]), (prod(self.dims) - 1) // 2)
+            self._required.update(zip(self.thm2, required.reshape(rows.shape[:2] + (-1,))))
         return self._required[extended]
 
 

@@ -139,6 +139,16 @@ def test_generate_rejects_non_integer_seed(tmp_path, capsys, monkeypatch):
         assert code == 2 and "CTM_SEED" in err, seed
 
 
+@pytest.mark.parametrize("dims, message", [("2,x", "cannot parse dims"),
+                                            ("-1,2", "dims must all be >= 2")])
+def test_generate_rejects_bad_dims(tmp_path, capsys, dims, message):
+    # --dims=... passes a leading minus through argparse; without the check,
+    # -1 would reach rng.normal(size=-1) as an untyped ValueError
+    code, _, err = run(capsys, "generate", "--family", "pure-product",
+                       f"--dims={dims}", "-o", str(tmp_path / "p.json"))
+    assert code == 2 and err.startswith("error:") and message in err, err
+
+
 def test_analyze_non_state_file(tmp_path, capsys):
     path = tmp_path / "notpsd.json"
     path.write_text(json.dumps({
@@ -263,6 +273,17 @@ def test_threshold_w_thm3_plain_under_noise(capsys):
     got = threshold_of(capsys, "--family", "w", "--n", "3",
                        "--criterion", "thm3-plain")
     assert abs(got - want) < 1e-5
+
+
+def test_threshold_with_several_crossings_reports_none(capsys, monkeypatch):
+    crossings, brackets = [0.25, 0.75], [(0.2, 0.3), (0.7, 0.8)]
+    monkeypatch.setattr(cli, "find_threshold", lambda *args, **kwargs: (crossings, brackets))
+    code, out, err = run(capsys, "threshold", "--family", "bell", "--criterion", "ppt")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["threshold"] is None and payload["crossings"] == crossings
+    assert payload["brackets"] == [list(b) for b in brackets]
+    assert err.startswith("warning:") and "2 brackets" in err, err
 
 
 def test_threshold_rejects_tiny_precision(capsys):

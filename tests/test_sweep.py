@@ -143,7 +143,8 @@ def test_tiles_search_builds_one_analysis_per_block_and_bisection(monkeypatch):
 
 
 def test_thm2_search_runs_one_recurrence_per_block_and_bisection(monkeypatch):
-    # one tensor named: its rows run alone, unpadded (8 values at (3, 3))
+    # one tensor named: its rows (8 values at (3, 3)) are zero-padded to the
+    # canonical width 9, as when both are named
     calls = []
     required_a1 = criteria._required_a1
 
@@ -157,4 +158,4 @@ def test_thm2_search_runs_one_recurrence_per_block_and_bisection(monkeypatch):
         lambda x: states.mix_white_noise(tiles, x), "thm2-plain", 0.0, 1.0)
     assert len(brackets) == 1 and abs(crossings[0] - 0.94929) < 1e-5
     bisections = ceil(log2(COARSE_STEP / 1e-5))
-    assert calls == [(64, 8), (37, 8)] + [(1, 8)] * bisections
+    assert calls == [(64, 9), (37, 9)] + [(1, 9)] * bisections

@@ -167,31 +167,44 @@ def test_both_thm2_tensors_share_one_recurrence(monkeypatch, n):
 
 def _thm2_states(dims, n, rng):
     """n states of dims cycling through Ginibre, pure (rank 1), pure product
-    and, for d1 = d2, werner: the last two break down after a few steps."""
+    and, for two parties of one dimension, werner: the last two break down
+    after a few steps."""
     def pure():
         v = random_pure_state(prod(dims), rng)
         return DensityMatrix(dims, np.outer(v, v.conj()))
 
     makers = [lambda: random_density(dims, rng), pure, lambda: random_pure_product(dims, rng)]
-    if dims[0] == dims[1]:
+    if len(dims) == 2 and dims[0] == dims[1]:
         makers.append(lambda: werner(dims[0], float(rng.uniform(-1.0, 1.0))))
     return [makers[k % len(makers)]() for k in range(n)]
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (4, 5), (5, 5)])
+THM2_DIMS = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (4, 5), (5, 5)]
+
+
+@pytest.mark.parametrize("dims", THM2_DIMS)
 @pytest.mark.parametrize("n", [1, 64])
 def test_naming_both_thm2_tests_matches_naming_each_alone(dims, n):
     rhos = _thm2_states(dims, n, np.random.default_rng(n * 100 + prod(dims)))
     both = _evaluate(rhos, DEFAULT_TOL, THM2)
     alone = [_evaluate(rhos, DEFAULT_TOL, [name]) for name in THM2]
-    a1s = _evaluate(rhos, DEFAULT_TOL, ["dv", "li"])  # the trace norms a_1
     for k in range(n):
-        for j in range(2):
-            got, want, a1 = both[k][j], alone[j][k][0], a1s[k][j].quantity
-            assert got.violated == want.violated
-            assert got.detail["b_min_eigenvalues"] == want.detail["b_min_eigenvalues"]
-            np.testing.assert_allclose(got.detail["required_a1"], want.detail["required_a1"],
-                                       rtol=0, atol=2e-15 * a1)
+        assert both[k] == [alone[j][k][0] for j in range(2)]
+
+
+@pytest.mark.parametrize("dims", [*THM2_DIMS, (2, 2, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("n", [1, 16])
+def test_names_only_select_reports(dims, n):
+    # a report depends only on its state, tol and its own name: row k of a
+    # name scored alone equals, bit for bit, its report among the defaults
+    # and the report of state k scored by itself; tol = 0 lets any rounding
+    # difference flip a verdict
+    rhos = _thm2_states(dims, n, np.random.default_rng(n * 1000 + prod(dims)))
+    default = _evaluate(rhos, 0.0, None)
+    for j, report in enumerate(default[0]):
+        alone = _evaluate(rhos, 0.0, [report.name])
+        for k, rho in enumerate(rhos):
+            assert alone[k] == [default[k][j]] == _evaluate([rho], 0.0, [report.name])[0]
 
 
 @pytest.mark.parametrize("seed,canonical", [(151, False), (152, True)])
