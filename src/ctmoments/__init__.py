@@ -10,6 +10,7 @@ from .criteria import (
     evaluate_all,
     li_bound,
     li_criterion,
+    moments_of_state,
     multi_canonical_bound,
     multi_plain_bound,
     ppt_criterion,
@@ -26,7 +27,7 @@ from .linalg import (
     singular_values,
     trace_norm,
 )
-from .moments import HankelPair, MomentVector, hankel_matrices, moment_vector, moments_of_state
+from .moments import HankelPair, MomentVector, hankel_matrices, moment_vector
 from .states import (
     bell,
     ghz,

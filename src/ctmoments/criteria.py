@@ -36,8 +36,10 @@ import numpy as np
 
 from .bloch import CorrelationTensor, _plain, correlation_tensor, unfold
 from .errors import InvalidDimension, NotBipartite, ParamOutOfRange, UnknownCriterion
-from .linalg import DensityMatrix, partial_transpose, realign, singular_values, trace_norm
-from .moments import _power_sums
+from .linalg import (
+    DensityMatrix, _require_bipartite, partial_transpose, realign, singular_values, trace_norm,
+)
+from .moments import MomentVector, _power_sums, moment_vector
 
 DEFAULT_TOL = 1e-9
 # thm2's Krylov space is exhausted once a Lanczos residual (x <= 1) falls to
@@ -119,16 +121,28 @@ class _Analysis:
         One recurrence serves every thm2 tensor named, in one row layout:
         each tensor's rows are zero-padded to T~'s width min(dims)^2 (T has
         one value fewer) and stacked, as zeros carry no weight in mu, so a
-        row never depends on which other thm2 tensor is named.
+        row never depends on which other thm2 tensor is named. Each row is
+        capped at its spectrum's own a1, the one dv and li compare.
         """
         if extended not in self._required:
             rows = np.zeros((len(self.thm2), len(self.mat), min(self.dims) ** 2))
             for block, t in zip(rows, self.thm2):
                 s = self.spectrum(t, 1)[0]
                 block[:, :s.shape[-1]] = s
-            required = _required_a1(rows.reshape(-1, rows.shape[-1]), (prod(self.dims) - 1) // 2)
+            a1 = np.concatenate([self.spectrum(t, 1)[1] for t in self.thm2])
+            required = _required_a1(rows.reshape(len(a1), -1), a1, (prod(self.dims) - 1) // 2)
             self._required.update(zip(self.thm2, required.reshape(rows.shape[:2] + (-1,))))
         return self._required[extended]
+
+
+def moments_of_state(rho: DensityMatrix, canonical: bool, K: int | None = None) -> MomentVector:
+    """Moment vector of T (plain) or of T-tilde (canonical) for a bipartite state,
+    from the spectrum evaluate_all reads. K defaults to d1*d2, enough for every
+    Hankel matrix of moments.hankel_matrices."""
+    d1, d2 = _require_bipartite(rho)
+    a0 = float(d1 * d1 * d2 * d2 if canonical else (d1 * d1 - 1) * (d2 * d2 - 1))
+    (sigmas,) = _Analysis(rho.dims, rho.mat[None]).spectrum(canonical, 1)[0]
+    return moment_vector(sigmas, d1 * d2 if K is None else K, a0, dims=(d1, d2))
 
 
 def _ppt(a: _Analysis):
@@ -158,9 +172,9 @@ def _thm1(canonical: bool, a: _Analysis):
     return (*_moment_sides(canonical, a, 1), None)
 
 
-def _required_a1(s: np.ndarray, steps: int) -> np.ndarray:
+def _required_a1(s: np.ndarray, a1: np.ndarray, steps: int) -> np.ndarray:
     """Smallest a_1 keeping B_1..B_steps PSD, given the other moments of each
-    row of s (N, r); returns (N, steps).
+    row of s (N, r) and its sum a1 (N,); returns (N, steps).
 
     B_l is the moment matrix of mu = sum_i s_i delta_{s_i}, so B_l(beta) is
     PSD exactly when beta >= ||P_l 1||^2_mu, P_l projecting onto
@@ -169,7 +183,7 @@ def _required_a1(s: np.ndarray, steps: int) -> np.ndarray:
     whole stack. Once a row's Krylov space stops growing it holds 1, and
     that row's answer is a_1 from then on.
     """
-    a1 = s.sum(axis=-1, keepdims=True)
+    a1 = a1[:, None]
     top = s.max(axis=-1, keepdims=True)
     x = (s / np.where(top > 0, top, 1.0))[:, None, :]  # rows (N, 1, r)
     one = np.sqrt(x)

@@ -1,20 +1,21 @@
-"""Moment vectors of correlation objects and their Hankel matrices.
+"""Moment arithmetic on singular values, and the Hankel matrices of a moment
+vector: the reference that thm2's recurrence is tested against.
 
-The k-th moment of a matrix with singular values sigma_i is
-sum_i sigma_i^k; index 0 holds a conventional ambient value (the number
-of rows times columns of the correlation object), not sum sigma^0.
+The k-th moment of a matrix with singular values sigma_i is sum_i sigma_i^k;
+index 0 holds a conventional ambient value (the number of rows times columns
+of the correlation object), not sum sigma^0. A state's singular values come
+from criteria's analysis, its one path to a spectrum (moments_of_state).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
-from .bloch import correlation_tensor, unfold
 from .errors import InsufficientMoments, NegativeSingularValue
-from .linalg import DensityMatrix, _require_bipartite, singular_values
 
 
 @dataclass(frozen=True)
@@ -64,26 +65,10 @@ def moment_vector(
     s = np.asarray(sigmas, dtype=np.float64)
     if not np.all(s >= 0):
         raise NegativeSingularValue(f"negative or NaN singular value in {s}")
-    if K < 1:
-        raise InsufficientMoments(f"K must be >= 1, got {K}")
+    if not isinstance(K, Integral) or K < 1:
+        raise InsufficientMoments(f"K must be an integer >= 1, got {K!r}")
     values = np.array([a0] + _power_sums(s, K))
     return MomentVector(values=values, dims=tuple(dims))
-
-
-def moments_of_state(
-    rho: DensityMatrix, canonical: bool, K: int | None = None
-) -> MomentVector:
-    """Moment vector of T (plain) or of T-tilde (canonical) for a bipartite state.
-
-    K defaults to d1*d2, enough for every Hankel matrix below.
-    """
-    d1, d2 = _require_bipartite(rho)
-    if canonical:
-        a0 = float(d1 * d1 * d2 * d2)
-    else:
-        a0 = float((d1 * d1 - 1) * (d2 * d2 - 1))
-    sigmas = singular_values(unfold(correlation_tensor(rho, extended=canonical), 1))
-    return moment_vector(sigmas, d1 * d2 if K is None else K, a0, dims=(d1, d2))
 
 
 def hankel_matrices(m: MomentVector, substituted_a1: float) -> HankelPair:

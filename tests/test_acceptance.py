@@ -11,7 +11,7 @@ a2^2 <= c * a3 can reach are recorded in the README, not asserted here.
 """
 
 import time
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ctmoments import (
     ghz,
     li_bound,
     mix_white_noise,
+    moment_vector,
     moments_of_state,
     ppt_criterion,
     theorem1,
@@ -29,7 +30,7 @@ from ctmoments import (
     werner,
 )
 from ctmoments.cli import criterion_margin, find_threshold
-from ctmoments.criteria import DEFAULT_TOL, _evaluate
+from ctmoments.criteria import DEFAULT_TOL, _Analysis, _evaluate
 from ctmoments.moments import hankel_matrices
 from ctmoments.states import random_density, random_pure_product, random_separable
 
@@ -192,24 +193,34 @@ def test_criterion_5_soundness(capsys):
 
 def test_criterion_6_holder_chain(capsys):
     rng = np.random.default_rng(66)
+    rhos = [random_density(BIPARTITE_DIMS[i % 3], rng) for i in range(1000)]
     bad_chain = []
     bad_psd = []
-    for i in range(1000):
-        dims = BIPARTITE_DIMS[i % 3]
-        rho = random_density(dims, rng)
+    hankels = {}  # size -> [(label, matrix)], each size one stacked eigvalsh
+    for j, dims in enumerate(BIPARTITE_DIMS):
+        a = _Analysis(dims, np.array([rho.mat for rho in rhos[j::3]]))
         for canonical in (False, True):
-            # one SVD serves both checks: the chain reads up to a_9, the
-            # Hankel matrices up to a_{d1*d2}
-            m = moments_of_state(rho, canonical=canonical, K=max(9, dims[0] * dims[1]))
-            for k in range(2, 9):
-                if m[k] ** 2 > m[k - 1] * m[k + 1] + 1e-12:
-                    bad_chain.append((i, dims, canonical, k))
-            pair = hankel_matrices(m, m[1])
-            for mat in pair.h_hat + pair.b_hat:
-                lam = float(np.linalg.eigvalsh(mat)[0])
-                scale = max(1.0, float(np.max(np.abs(mat))))
-                if lam < -1e-9 * scale:
-                    bad_psd.append((i, dims, canonical, lam))
+            # a_0 is the number of entries of T~ (canonical) or T (plain)
+            a0 = float(prod(d * d if canonical else d * d - 1 for d in dims))
+            # one SVD per dims and tensor serves both checks: the chain reads
+            # up to a_9, the Hankel matrices up to a_{d1*d2}
+            for i, s in zip(range(j, 1000, 3), a.spectrum(canonical, 1)[0]):
+                m = moment_vector(s, max(9, prod(dims)), a0, dims)
+                v = m.values.tolist()
+                for k in range(2, 9):
+                    if v[k] ** 2 > v[k - 1] * v[k + 1] + 1e-12:
+                        bad_chain.append((i, dims, canonical, k))
+                pair = hankel_matrices(m, m[1])
+                for mat in pair.h_hat + pair.b_hat:
+                    hankels.setdefault(len(mat), []).append(((i, dims, canonical), mat))
+    for entries in hankels.values():
+        labels, mats = zip(*entries)
+        mats = np.array(mats)
+        lams = np.linalg.eigvalsh(mats)[:, 0]
+        scales = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+        for label, lam, scale in zip(labels, lams.tolist(), scales.tolist()):
+            if lam < -1e-9 * scale:
+                bad_psd.append((*label, lam))
     checks = [
         (not bad_chain, f"chain violations: {bad_chain[:5]}"),
         (not bad_psd, f"indefinite unsubstituted Hankels: {bad_psd[:5]}"),

@@ -51,6 +51,17 @@ def test_moment_vector_rejects_k_zero():
         moment_vector(np.array([0.5]), K=0, a0=1.0)
 
 
+def test_non_integer_order_raises_insufficient_moments():
+    rho = maximally_mixed((2, 2))
+    for K in (2.5, 2.0, "3"):
+        with pytest.raises(InsufficientMoments):
+            moment_vector(np.array([0.5]), K=K, a0=1.0)
+        with pytest.raises(InsufficientMoments):
+            moments_of_state(rho, False, K)
+    assert moment_vector(np.array([0.5]), K=np.int64(3), a0=1.0).order == 3
+    assert moments_of_state(rho, False, np.int64(3)).order == 3
+
+
 def test_moment_vector_permutation_invariant():
     rng = np.random.default_rng(2)
     s = rng.uniform(0, 1, size=6)

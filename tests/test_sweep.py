@@ -148,9 +148,9 @@ def test_thm2_search_runs_one_recurrence_per_block_and_bisection(monkeypatch):
     calls = []
     required_a1 = criteria._required_a1
 
-    def counted(s, steps):
+    def counted(s, a1, steps):
         calls.append(s.shape)
-        return required_a1(s, steps)
+        return required_a1(s, a1, steps)
 
     monkeypatch.setattr(criteria, "_required_a1", counted)
     tiles = states.tiles_ppt()

@@ -13,7 +13,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctmoments import (
@@ -76,7 +76,8 @@ def _exact_required(sigmas, l):
 def test_required_a1_matches_exact_schur_complement(name):
     sigmas = RATIONAL_SETS[name]
     steps = len(sigmas)
-    (got,) = _required_a1(np.array([[float(s) for s in sigmas]]), steps).tolist()
+    s = np.array([[float(x) for x in sigmas]])
+    (got,) = _required_a1(s, s.sum(axis=-1), steps).tolist()
     for l in range(1, steps + 1):
         want = float(_exact_required(sigmas, l))
         assert abs(got[l - 1] - want) <= 1e-12 * want, (name, l, got[l - 1], want)
@@ -88,7 +89,7 @@ def test_rational_sets_in_one_zero_padded_stack():
     stack = np.zeros((len(RATIONAL_SETS), width))
     for row, sigmas in zip(stack, RATIONAL_SETS.values()):
         row[:len(sigmas)] = [float(s) for s in sigmas]
-    got = _required_a1(stack, width)
+    got = _required_a1(stack, stack.sum(axis=-1), width)
     assert got.shape == (len(RATIONAL_SETS), width)
     for (name, sigmas), row in zip(RATIONAL_SETS.items(), got.tolist()):
         for l in range(1, width + 1):
@@ -121,10 +122,10 @@ def _sigma_rows(n, seed):
 def test_stacked_rows_equal_rows_scored_alone(n):
     rows = _sigma_rows(n, n)
     steps = 7
-    got = _required_a1(rows, steps)
+    got = _required_a1(rows, rows.sum(axis=-1), steps)
     assert got.shape == (n, steps)
     for row, want in zip(rows, got):
-        assert np.array_equal(_required_a1(row[None], steps)[0], want)
+        assert np.array_equal(_required_a1(row[None], row[None].sum(axis=-1), steps)[0], want)
 
 
 def test_entries_past_breakdown_read_a1():
@@ -137,7 +138,7 @@ def test_entries_past_breakdown_read_a1():
     for row, k in zip(rows, ks):
         values = rng.random(k)
         row[:] = -np.sort(-values[np.r_[np.arange(k), rng.integers(0, k, width - k)]])
-    got = _required_a1(rows, steps).tolist()
+    got = _required_a1(rows, rows.sum(axis=-1), steps).tolist()
     a1 = rows.sum(axis=-1).tolist()
     for row, k, total in zip(got, [*ks.tolist(), 0], a1):
         assert row[k:] == [total] * (steps - k), (k, row)
@@ -151,9 +152,9 @@ def test_both_thm2_tensors_share_one_recurrence(monkeypatch, n):
     # the plain rows (8 values at (3, 4)) are zero-padded to the canonical 9
     calls = []
 
-    def counted(s, steps):
+    def counted(s, a1, steps):
         calls.append(s.shape)
-        return _required_a1(s, steps)
+        return _required_a1(s, a1, steps)
 
     monkeypatch.setattr(criteria, "_required_a1", counted)
     rng = np.random.default_rng(n)
@@ -205,6 +206,19 @@ def test_names_only_select_reports(dims, n):
         alone = _evaluate(rhos, 0.0, [report.name])
         for k, rho in enumerate(rhos):
             assert alone[k] == [default[k][j]] == _evaluate([rho], 0.0, [report.name])[0]
+
+
+def test_thm2_implies_trace_norm_test_at_zero_tol():
+    # thm2 caps required_a1 at the a1 that dv and li compare, so thm2-plain
+    # => dv and thm2-canonical => li hold bit for bit, with no tolerance;
+    # pure products attain the bounds, so rounding would show here
+    rng = np.random.default_rng(3)
+    for dims in [(4, 4), (4, 5), (2, 2), (3, 3), (5, 5)]:
+        rhos = [random_pure_product(dims, rng) for _ in range(100)]
+        for reports in _evaluate(rhos, 0.0, ["thm2-plain", "dv", "thm2-canonical", "li"]):
+            for mid, loose in zip(reports[::2], reports[1::2]):
+                assert not mid.violated or loose.violated, (dims, mid, loose)
+                assert max(mid.detail["required_a1"]) <= loose.quantity, (dims, mid, loose)
 
 
 @pytest.mark.parametrize("seed,canonical", [(151, False), (152, True)])
@@ -284,6 +298,7 @@ BIPARTITE = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
 
 
 @settings(max_examples=60, deadline=None)
+@example(dims=(2, 2), seed=0, rank=2, noise=4.585227385126577e-79)
 @given(
     dims=st.sampled_from(BIPARTITE),
     seed=st.integers(0, 2**32 - 1),
@@ -303,8 +318,10 @@ def test_required_a1_chain_and_detection_chain(dims, seed, rank, noise):
     for canonical in (False, True):
         (s,) = a.spectrum(canonical, 1)[0]
         a1, a2, a3 = (float(np.sum(s**k)) for k in (1, 2, 3))
-        (required,) = _required_a1(s[None], steps).tolist()
-        chain = ([a2 * a2 / a3] if a3 > 0 else []) + required + [a1]
+        (required,) = _required_a1(s[None], s[None].sum(axis=-1), steps).tolist()
+        # a2 * (a2 / a3), not a2 * a2 / a3: a2 * a2 turns subnormal near
+        # noise 1e-78 and loses the digits the 1e-12 factor allows
+        chain = ([a2 * (a2 / a3)] if a3 > 0 else []) + required + [a1]
         for lo, hi in zip(chain, chain[1:]):
             assert lo <= hi * (1 + 1e-12), (canonical, chain)
     flagged = {r.name for r in evaluate_all(rho) if r.violated}
