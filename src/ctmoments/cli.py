@@ -132,40 +132,36 @@ def find_threshold(
     return crossings, brackets
 
 
-def _closed_form(family, params, base, criterion, tol) -> float | None:
-    """The threshold in closed form, where one is known and the sweep crosses:
-    werner thm1-plain at (2 - d)/d, and under white noise bound / quantity
-    of the state at x = 1, or for ppt 1/(1 - D lambda_min(rho^Gamma)), as
-    (I/D)^Gamma = I/D makes lambda_min affine in x. The sweep crosses exactly
-    when its state of largest margin is flagged at tol: werner(d, -1), as
-    werner's plain tensor is proportional to d x - 1, and under white noise
-    the state at x = 1, as the margin is monotone in the noise level."""
-    if family == "werner":
-        if criterion != "thm1-plain":
-            return None
-        d = params["d"]
-        (report,) = criteria.evaluate_all(states.werner(d, -1.0), tol, [criterion])
-        return (2 - d) / d if report.violated else None
+def _closed_form(extreme, criterion, tol) -> float | None:
+    """The noise level s* at which s extreme + (1 - s) I/D crosses, where a
+    formula is known: bound / quantity of extreme, as the plain tensor scales
+    with s, or for ppt 1/(1 - D lambda_min(extreme^Gamma)), as (I/D)^Gamma =
+    I/D makes lambda_min affine in s. s* is the crossing at tol = 0; it is
+    returned only when the sweep crosses at tol, that is when extreme, the
+    sweep's state of largest margin, is flagged at tol, else None."""
     if criterion not in (*_HOMOGENEOUS_UNDER_NOISE, "ppt"):
         return None
-    (report,) = criteria.evaluate_all(base, tol, [criterion])
+    (report,) = criteria.evaluate_all(extreme, tol, [criterion])
     if not report.violated:
         return None
-    if criterion == "ppt":  # the quantity is -lambda_min(rho^Gamma)
-        return 1.0 / (1.0 + base.dim * report.quantity)
+    if criterion == "ppt":  # the quantity is -lambda_min(extreme^Gamma)
+        return 1.0 / (1.0 + extreme.dim * report.quantity)
     return report.bound / report.quantity
 
 
 def cmd_threshold(args) -> int:
     names, build = states.FAMILIES[args.family]
-    if "x" in names:  # werner: its own parameter x, over [-1, 1]
+    if "x" in names:  # werner: its own parameter x, over [-1, 1], where
+        # werner(d, x) = s werner(d, -1) + (1 - s) I/D with s = (1 - d x)/(1 + d)
         params = _family_params(args, [p for p in names if p != "x"])
-        base, lo, hi = None, -1.0, 1.0
+        lo, hi, d = -1.0, 1.0, params["d"]
         at = lambda x: build(**params, x=x)
+        extreme, to_x = at(lo), lambda s: (1 - (d + 1) * s) / d
     else:  # any other family: its white-noise level, from the one base state
         params = _family_params(args, names)
-        base, lo, hi = build(**params), 0.0, 1.0
-        at = lambda x: states.mix_white_noise(base, x)
+        extreme, lo, hi = build(**params), 0.0, 1.0
+        at = lambda x: states.mix_white_noise(extreme, x)
+        to_x = lambda s: s
     scored = []
 
     def state_at(x):
@@ -182,6 +178,7 @@ def cmd_threshold(args) -> int:
             f"{brackets}; no single threshold reported",
             file=sys.stderr,
         )
+    s_star = _closed_form(extreme, args.criterion, args.tol)
     payload = {
         "family": args.family,
         "params": params,
@@ -191,7 +188,7 @@ def cmd_threshold(args) -> int:
         "crossings": crossings,
         "brackets": [list(b) for b in brackets],
         "evaluations": len(scored),
-        "closed_form": _closed_form(args.family, params, base, args.criterion, args.tol),
+        "closed_form": None if s_star is None else to_x(s_star),
     }
     print(json.dumps(payload, indent=2))
     return 0

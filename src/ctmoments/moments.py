@@ -76,18 +76,20 @@ def hankel_matrices(m: MomentVector, substituted_a1: float) -> HankelPair:
 
     [H_k]_{ij} = a_{i+j} for k = 1..floor(D/2), [B_l]_{mn} = a_{m+n+1}
     for l = 1..floor((D-1)/2) with D = d1*d2; every a_1 entry is replaced
-    by substituted_a1 (off-diagonal in H, diagonal corner in B).
+    by substituted_a1 (off-diagonal in H, diagonal corner in B). Each
+    matrix is a copy of a leading block of the largest one of its kind.
     """
     D = prod(m.dims) if m.dims else m.order
     if m.order < D:
         raise InsufficientMoments(f"need moments up to order {D}, have {m.order}")
 
-    def hankel(size: int, shift: int) -> np.ndarray:
-        return np.array([
-            [substituted_a1 if i + j + shift == 1 else m[i + j + shift]
-             for j in range(size)] for i in range(size)
-        ])
+    a = np.array(m.values, dtype=np.float64)
+    a[1:2] = substituted_a1  # a_1, where the vector has one
 
-    h_hat = [hankel(k + 1, 0) for k in range(1, D // 2 + 1)]
-    b_hat = [hankel(l + 1, 1) for l in range(1, (D - 1) // 2 + 1)]
-    return HankelPair(h_hat=h_hat, b_hat=b_hat)
+    def leading_blocks(n: int, shift: int) -> list[np.ndarray]:
+        i = np.arange(n + 1)
+        full = a[np.add.outer(i, i) + shift]
+        return [full[:k + 1, :k + 1].copy() for k in range(1, n + 1)]
+
+    return HankelPair(h_hat=leading_blocks(D // 2, 0),
+                      b_hat=leading_blocks((D - 1) // 2, 1))

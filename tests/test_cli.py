@@ -346,13 +346,42 @@ def test_threshold_payload_werner_closed_form(capsys):
     # product state is never flagged (bound / quantity at x = 1 would be a
     # rounding artefact near 1), at --tol 1 tiles-ppt is not flagged at x = 1,
     # and at --tol 0.5 werner(2, x) is flagged nowhere
-    for argv in (("--family", "werner", "--d", "3", "--criterion", "ppt"),
-                 ("--family", "werner", "--d", "2", "--criterion", "thm1-plain",
+    for argv in (("--family", "werner", "--d", "2", "--criterion", "thm1-plain",
                   "--tol", "0.5"),
                  ("--family", "tiles-ppt", "--criterion", "li"),
                  ("--family", "pure-product", "--dims", "2,2", "--criterion", "dv"),
                  ("--family", "tiles-ppt", "--criterion", "dv", "--tol", "1")):
         assert threshold_payload(capsys, *argv)["closed_form"] is None, argv
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_threshold_payload_werner_closed_forms(capsys, d):
+    # werner(d, x) is s werner(d, -1) + (1 - s) I/D with s = (1 - d x)/(1 + d),
+    # so the white-noise rule gives werner's crossings: (2 - d)/d for the plain
+    # tensor tests and the PPT boundary 0 for ppt
+    for criterion, want in (("thm1-plain", (2 - d) / d), ("dv", (2 - d) / d),
+                            ("thm2-plain", (2 - d) / d), ("ppt", 0.0)):
+        payload = threshold_payload(capsys, "--family", "werner", "--d", str(d),
+                                    "--criterion", criterion)
+        assert payload["closed_form"] == pytest.approx(want, abs=1e-15), criterion
+        # at the default tol thm1-plain's search lands 1.46e-5 from -0.6 at d = 5,
+        # as tol acts on its fourth-order margin, so only the others are pinned
+        if criterion != "thm1-plain":
+            assert len(payload["crossings"]) == 1, criterion
+            assert abs(payload["threshold"] - want) <= payload["precision"], criterion
+
+
+def test_threshold_closed_form_is_the_crossing_at_zero_tol(capsys):
+    # --tol moves the search's crossing, to (bound + tol)/a1 for dv, while the
+    # closed form stays the crossing at tol = 0, bound / a1
+    _, a1, _, _ = moments_of_state(states.tiles_ppt(), False, 3).values
+    bound = criteria.dv_bound(3, 3)
+    payload = threshold_payload(capsys, "--family", "tiles-ppt", "--criterion", "dv",
+                                "--tol", "0.01")
+    assert payload["closed_form"] == bound / a1
+    assert round(payload["closed_form"], 5) == 0.94929
+    assert abs(payload["threshold"] - (bound + 0.01) / a1) < 1e-5
+    assert round(payload["threshold"], 5) == 0.97777
 
 
 def test_threshold_payload_ppt_closed_form(capsys):
@@ -375,7 +404,7 @@ def test_threshold_bell_ppt_closed_form_is_exact(capsys):
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4)])
 def test_ppt_closed_form_matches_bisection_on_ginibre_states(dims):
     base = states.random_density(dims, np.random.default_rng(1))
-    closed_form = cli._closed_form(None, None, base, "ppt", criteria.DEFAULT_TOL)
+    closed_form = cli._closed_form(base, "ppt", criteria.DEFAULT_TOL)
     crossings, _ = find_threshold(lambda x: states.mix_white_noise(base, x), "ppt", 0.0, 1.0)
     assert closed_form is not None and len(crossings) == 1
     assert abs(crossings[0] - closed_form) <= 1e-5

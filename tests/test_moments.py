@@ -107,6 +107,21 @@ def test_hankel_layout_two_qubits():
     np.testing.assert_allclose(pair.b_hat[0], [[c, a[2]], [a[2], a[3]]])
 
 
+@pytest.mark.parametrize("D", range(1, 13))
+def test_hankel_entries_are_moments(D):
+    # [H_k]_{ij} = a_{i+j} and [B_l]_{ij} = a_{i+j+1}, with a_1 substituted
+    m = moment_vector(np.linspace(0.1, 0.9, D), K=D, a0=float(D * D))
+    c = 0.77
+    a = [m[k] for k in range(D + 1)]
+    a[1] = c
+    pair = hankel_matrices(m, c)
+    for mats, shift, count in ((pair.h_hat, 0, D // 2), (pair.b_hat, 1, (D - 1) // 2)):
+        assert [mat.shape for mat in mats] == [(k + 1, k + 1) for k in range(1, count + 1)]
+        for mat in mats:
+            for (i, j), entry in np.ndenumerate(mat):
+                assert entry == a[i + j + shift], (shift, i, j)
+
+
 def test_hankel_zero_moments_b1_psd():
     m = moment_vector(np.zeros(3), K=4, a0=9.0, dims=(2, 2))
     pair = hankel_matrices(m, 0.25)

@@ -8,7 +8,8 @@ and each side runs its own unchanged perfbench/run.py there, so the
 benchmark always measures committed trees. Pair k runs both sides on the
 k-th seed, the parent first on even k and the change first on odd k, so
 neither side always runs on the warmer or the colder machine. Every
-workload of BENCHMARK.json runs for its run_seconds.
+workload of BENCHMARK.json runs for its run_seconds. A run that exits
+non-zero or reports "correct": false stops the script.
 
 The output file holds the environment, and under "benchmark" the
 command, the method and one "workloads" block per workload: every run,
@@ -60,7 +61,12 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tup
     if proc.returncode != 0:
         sys.exit(f"error: run.py failed in {tree} ({workload}, seed {seed}):\n{proc.stderr}")
     lines = proc.stdout.splitlines()
-    return json.loads(lines[0])["environment"], json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not result["correct"]:  # the line before the result holds the oracle's problems
+        problems = json.loads(lines[-2])["details"]["problems"]
+        sys.exit(f"error: run.py reported incorrect results in {tree} ({workload}, "
+                 f"seed {seed}): {problems}")
+    return json.loads(lines[0])["environment"], result
 
 
 def parse_seeds(text: str) -> list[int]:
