@@ -27,7 +27,7 @@ from .linalg import (
     singular_values,
     trace_norm,
 )
-from .moments import HankelPair, MomentVector, hankel_matrices, moment_vector
+from .moments import moment_vector
 from .states import (
     bell,
     ghz,
@@ -45,8 +45,6 @@ __all__ = [
     "CorrelationTensor",
     "CriterionReport",
     "DensityMatrix",
-    "HankelPair",
-    "MomentVector",
     "bell",
     "ccnr_criterion",
     "correlation_tensor",
@@ -55,7 +53,6 @@ __all__ = [
     "evaluate_all",
     "gellmann_generators",
     "ghz",
-    "hankel_matrices",
     "hermitian_eigenvalues",
     "is_psd",
     "li_bound",

@@ -25,7 +25,7 @@ from .linalg import DensityMatrix
 REALITY_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
     """n-way real tensor of correlation coefficients.
 

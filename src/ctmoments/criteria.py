@@ -39,7 +39,7 @@ from .errors import InvalidDimension, NotBipartite, ParamOutOfRange, UnknownCrit
 from .linalg import (
     DensityMatrix, _require_bipartite, partial_transpose, realign, singular_values, trace_norm,
 )
-from .moments import MomentVector, _power_sums, moment_vector
+from .moments import _power_sums, moment_vector
 
 DEFAULT_TOL = 1e-9
 # thm2's Krylov space is exhausted once a Lanczos residual (x <= 1) falls to
@@ -135,14 +135,14 @@ class _Analysis:
         return self._required[extended]
 
 
-def moments_of_state(rho: DensityMatrix, canonical: bool, K: int | None = None) -> MomentVector:
-    """Moment vector of T (plain) or of T-tilde (canonical) for a bipartite state,
+def moments_of_state(rho: DensityMatrix, canonical: bool, K: int | None = None) -> np.ndarray:
+    """Moments [a_0..a_K] of T (plain) or of T-tilde (canonical) for a bipartite state,
     from the spectrum evaluate_all reads. K defaults to d1*d2, enough for every
     Hankel matrix of moments.hankel_matrices."""
     d1, d2 = _require_bipartite(rho)
     a0 = float(d1 * d1 * d2 * d2 if canonical else (d1 * d1 - 1) * (d2 * d2 - 1))
     (sigmas,) = _Analysis(rho.dims, rho.mat[None]).spectrum(canonical, 1)[0]
-    return moment_vector(sigmas, d1 * d2 if K is None else K, a0, dims=(d1, d2))
+    return moment_vector(sigmas, d1 * d2 if K is None else K, a0)
 
 
 def _ppt(a: _Analysis):

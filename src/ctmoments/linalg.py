@@ -87,7 +87,7 @@ def _check_dims(dims) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density matrix together with its tensor-factor dimensions.
 

@@ -205,13 +205,13 @@ def test_criterion_6_holder_chain(capsys):
             # one SVD per dims and tensor serves both checks: the chain reads
             # up to a_9, the Hankel matrices up to a_{d1*d2}
             for i, s in zip(range(j, 1000, 3), a.spectrum(canonical, 1)[0]):
-                m = moment_vector(s, max(9, prod(dims)), a0, dims)
-                v = m.values.tolist()
+                m = moment_vector(s, max(9, prod(dims)), a0)
+                v = m.tolist()
                 for k in range(2, 9):
                     if v[k] ** 2 > v[k - 1] * v[k + 1] + 1e-12:
                         bad_chain.append((i, dims, canonical, k))
-                pair = hankel_matrices(m, m[1])
-                for mat in pair.h_hat + pair.b_hat:
+                h_hat, b_hat = hankel_matrices(m[:prod(dims) + 1], m[1])
+                for mat in h_hat + b_hat:
                     hankels.setdefault(len(mat), []).append(((i, dims, canonical), mat))
     for entries in hankels.values():
         labels, mats = zip(*entries)

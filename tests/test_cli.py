@@ -326,7 +326,7 @@ def threshold_payload(capsys, *argv):
 def test_threshold_payload_reports_evaluations_and_closed_form(capsys, criterion):
     payload = threshold_payload(capsys, "--family", "tiles-ppt", "--criterion", criterion)
     # a white-noise sweep scales T: a_k(x) = x^k a_k(1)
-    _, a1, a2, a3 = moments_of_state(states.tiles_ppt(), False, 3).values
+    _, a1, a2, a3 = moments_of_state(states.tiles_ppt(), False, 3)
     bound = criteria.dv_bound(3, 3)
     want = bound / a1 if criterion == "dv" else bound * a3 / a2**2
     assert payload["closed_form"] == pytest.approx(want, abs=1e-12)
@@ -374,7 +374,7 @@ def test_threshold_payload_werner_closed_forms(capsys, d):
 def test_threshold_closed_form_is_the_crossing_at_zero_tol(capsys):
     # --tol moves the search's crossing, to (bound + tol)/a1 for dv, while the
     # closed form stays the crossing at tol = 0, bound / a1
-    _, a1, _, _ = moments_of_state(states.tiles_ppt(), False, 3).values
+    _, a1, _, _ = moments_of_state(states.tiles_ppt(), False, 3)
     bound = criteria.dv_bound(3, 3)
     payload = threshold_payload(capsys, "--family", "tiles-ppt", "--criterion", "dv",
                                 "--tol", "0.01")

@@ -7,6 +7,7 @@ import pytest
 from ctmoments import (
     DensityMatrix,
     bell,
+    correlation_tensor,
     hermitian_eigenvalues,
     is_psd,
     maximally_mixed,
@@ -15,6 +16,7 @@ from ctmoments import (
     realign,
     singular_values,
     trace_norm,
+    werner,
 )
 from ctmoments.linalg import _check_hermitian
 from ctmoments.states import random_density
@@ -162,6 +164,15 @@ def test_density_matrix_stores_numpy_integer_dims_as_int():
     rho = DensityMatrix((np.int64(2), np.uint8(3)), np.eye(6) / 6)
     assert rho.dims == (2, 3) and all(type(d) is int for d in rho.dims)
     assert maximally_mixed((np.int32(2), 2)).dims == (2, 2)
+
+
+def test_states_and_tensors_compare_by_identity():
+    # equal values are not the same state: == never compares the arrays
+    rho, other = werner(2, 0.0), werner(2, 0.0)
+    t, u = correlation_tensor(rho), correlation_tensor(rho)
+    assert rho == rho and t == t
+    assert rho != other and t != u
+    assert len({rho, other, rho, t, u, t}) == 4
 
 
 @pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.0), ("2", 2)])

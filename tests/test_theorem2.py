@@ -21,7 +21,6 @@ from ctmoments import (
     criteria,
     dv_bound,
     evaluate_all,
-    hankel_matrices,
     li_bound,
     mix_white_noise,
     moments_of_state,
@@ -30,6 +29,7 @@ from ctmoments import (
 )
 from ctmoments.cli import find_threshold
 from ctmoments.criteria import DEFAULT_TOL, _Analysis, _evaluate, _required_a1
+from ctmoments.moments import hankel_matrices
 from ctmoments.states import random_density, random_pure_product, random_pure_state, werner
 
 RATIONAL_SETS = {
@@ -241,10 +241,10 @@ def test_required_a1_agrees_with_hankel_eigenvalues():
         rho = random_density(dims, rng)
         for canonical, report in zip((False, True), theorem2(rho)):
             m = moments_of_state(rho, canonical=canonical)
-            pair = hankel_matrices(m, report.bound)
+            _, b_hat = hankel_matrices(m, report.bound)
             required = report.detail["required_a1"]
-            assert len(required) == len(pair.b_hat)
-            for b, req in zip(pair.b_hat, required):
+            assert len(required) == len(b_hat)
+            for b, req in zip(b_hat, required):
                 if abs(req - report.bound) <= 1e-8:
                     continue
                 checked += 1
@@ -299,6 +299,7 @@ BIPARTITE = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
 
 @settings(max_examples=60, deadline=None)
 @example(dims=(2, 2), seed=0, rank=2, noise=4.585227385126577e-79)
+@example(dims=(2, 2), seed=0, rank=1, noise=8.830717462059581e-107)
 @given(
     dims=st.sampled_from(BIPARTITE),
     seed=st.integers(0, 2**32 - 1),
@@ -317,11 +318,15 @@ def test_required_a1_chain_and_detection_chain(dims, seed, rank, noise):
     steps = (d - 1) // 2
     for canonical in (False, True):
         (s,) = a.spectrum(canonical, 1)[0]
-        a1, a2, a3 = (float(np.sum(s**k)) for k in (1, 2, 3))
         (required,) = _required_a1(s[None], s[None].sum(axis=-1), steps).tolist()
-        # a2 * (a2 / a3), not a2 * a2 / a3: a2 * a2 turns subnormal near
-        # noise 1e-78 and loses the digits the 1e-12 factor allows
-        chain = ([a2 * (a2 / a3)] if a3 > 0 else []) + required + [a1]
+        # a2^2 / a3 = top * b2^2 / b3 with b_k = sum (s / top)^k: on the raw
+        # sums a2 * a2 turns subnormal near noise 1e-78 and a3 near 1e-107,
+        # and either loses the digits the 1e-12 factor allows
+        chain = required + [float(np.sum(s))]
+        top = float(s.max())
+        if top > 0:
+            b2, b3 = (float(np.sum((s / top) ** k)) for k in (2, 3))
+            chain.insert(0, top * (b2 * (b2 / b3)))
         for lo, hi in zip(chain, chain[1:]):
             assert lo <= hi * (1 + 1e-12), (canonical, chain)
     flagged = {r.name for r in evaluate_all(rho) if r.violated}

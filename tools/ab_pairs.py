@@ -116,11 +116,13 @@ def main() -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain")
     parser.add_argument("--trace", action="append", default=[], help="WORKLOAD:SEED")
     args = parser.parse_args()
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:  # the quartiles need two pairs
+        parser.error(f"--seeds {args.seeds}: need at least 2 seeds, got {len(seeds)}")
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    seeds = parse_seeds(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(rev, trees[side])
