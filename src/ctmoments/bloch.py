@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -59,12 +60,6 @@ def _gellmann_operators(d: int) -> np.ndarray:
     return ops
 
 
-def _plain(t: CorrelationTensor) -> CorrelationTensor:
-    """The plain tensor T as a view of the [..., 1:, ..., 1:] block of T~."""
-    entries = t.entries[(Ellipsis,) + (slice(1, None),) * t.n]
-    return CorrelationTensor(dims=t.dims, entries=entries, extended=False)
-
-
 def correlation_tensor(rho: DensityMatrix, extended: bool = False) -> CorrelationTensor:
     """Correlation tensor of a multipartite state.
 
@@ -84,10 +79,9 @@ def correlation_tensor(rho: DensityMatrix, extended: bool = False) -> Correlatio
     n = len(dims)
     if n < 2:
         raise TooFewParties(f"correlation tensor needs >= 2 parties, got {n}")
-    stacks = [_gellmann_operators(d) for d in dims]
-    raw = _kernels.expectation_tensor(rho.mat, stacks, dims)
-    t = CorrelationTensor(dims=dims, entries=_real_part(raw), extended=True)
-    return t if extended else _plain(t)
+    raw = _kernels.expectation_tensor(rho.mat, [_gellmann_operators(d) for d in dims], dims)
+    entries = _real_part(raw)[(Ellipsis,) + (slice(0 if extended else 1, None),) * n]
+    return CorrelationTensor(dims=dims, entries=entries, extended=extended)
 
 
 def unfold(t: CorrelationTensor, mode: int) -> np.ndarray:
@@ -97,7 +91,7 @@ def unfold(t: CorrelationTensor, mode: int) -> np.ndarray:
     lowest remaining mode most significant. A stacked tensor gives a stack
     of unfoldings.
     """
-    if not 1 <= mode <= t.n:
+    if not (isinstance(mode, Integral) and 1 <= mode <= t.n):
         raise ModeOutOfRange(f"mode {mode} out of range for {t.n}-way tensor")
     axes = list(range(t.entries.ndim))
     first = len(axes) - t.n  # the tensor's first mode, after any stack axes

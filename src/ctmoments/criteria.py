@@ -5,40 +5,38 @@ passing says nothing. Reports share one shape and one rule: the tested
 quantity, the separable bound, margin = quantity - bound, and
 violated = margin > tol.
 
-Each state is analysed once, as part of a stack of states that share
-their dims: evaluate_all is a stack of one, and a threshold search scores
-its coarse grid in stacks. `_evaluate` takes the states, checks that they
-share dims and stacks their matrices. `_Analysis` builds the stacked
-extended correlation tensor T~ on first use, takes the plain tensor T as
-its [..., 1:, ..., 1:] block, and keeps one spectrum entry per (tensor,
-mode): the stacked singular values of that unfolding and their power sums
-a1..a3, so a stack costs at most one tensor build, one stacked SVD and one
-set of power sums per (tensor, mode). thm2 runs one Lanczos recurrence
-per analysis, over the whole stack and every thm2 tensor named, each
-zero-padded to the canonical width. A report depends only on its state,
-tol and its own name, never on the stack it was scored in or on the other
-names. Every criterion is one entry of `_REGISTRY`, which fixes its name,
-its place in evaluate_all's order and whether it needs a bipartite state.
-An entry maps the analysis to columns over the stack, (quantity, bound,
-details), and `_evaluate` alone checks tol and the names and turns the
-columns into reports; the public functions are thin wrappers over
-evaluate_all.
+Each state is analysed once, as part of a stack of states that share their
+dims: evaluate_all is a stack of one, and a threshold search scores its
+coarse grid in stacks. `_evaluate` takes the states, checks that they share
+dims and stacks their matrices. `_Analysis` builds the stacked extended
+correlation tensor T~ on first use, reads every tensor as T~ under a party
+weight (so dv, li and ccnr are one trace-norm test), and keeps one spectrum
+entry per (weight, mode): the stacked singular values of that unfolding and
+their power sums a1..a3, so a stack costs at most one tensor build, one
+stacked SVD and one set of power sums per (weight, mode). thm2 runs one
+Lanczos recurrence per analysis, over the whole stack and every thm2 tensor
+named, each zero-padded to the canonical width. A report depends only on
+its state, tol and its own name, never on the stack it was scored in or on
+the other names. Every criterion is one entry of `_REGISTRY`, which fixes
+its name, its place in evaluate_all's order and whether it needs a
+bipartite state. An entry maps the analysis to columns over the stack,
+(quantity, bound, details), and `_evaluate` alone checks tol and the names
+and turns the columns into reports; the public functions are thin wrappers
+over evaluate_all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import repeat
 from math import isfinite, prod, sqrt
 
 import numpy as np
 
-from .bloch import CorrelationTensor, _plain, correlation_tensor, unfold
+from .bloch import CorrelationTensor, correlation_tensor, unfold
 from .errors import InvalidDimension, NotBipartite, ParamOutOfRange, UnknownCriterion
-from .linalg import (
-    DensityMatrix, _require_bipartite, partial_transpose, realign, singular_values, trace_norm,
-)
+from .linalg import DensityMatrix, _require_bipartite, partial_transpose, singular_values
 from .moments import _power_sums, moment_vector
 
 DEFAULT_TOL = 1e-9
@@ -60,12 +58,35 @@ class CriterionReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# Party weights d -> (u^2, v^2), squared weights of a party's identity slot and
+# generator slots in T~: T is (0, 1), T~ is (1, 1), and (d, 2) puts T~ in the
+# orthonormal basis {I/sqrt(d), lam/sqrt(2)}, where it is the realigned state.
+_PLAIN, _CANONICAL, _REALIGNED = (lambda d: (0, 1)), (lambda d: (1, 1)), (lambda d: (d, 2))
+
+
+def _separable_bound(weight, dims) -> float:
+    """prod_k sqrt(u^2/d^2 + v^2 (d-1)/(2d)), met by every unfolding of a separable state."""
+    top = prod(2 * w[0] + w[1] * d * (d - 1) for d, w in zip(dims, map(weight, dims)))
+    return sqrt(top / prod(2 * d * d for d in dims))
+
+
+@lru_cache(maxsize=None)
+def _weighting(weight, dims: tuple) -> tuple:
+    """(index, scale, bound): the basic index of T~'s slots of nonzero weight, the
+    weights' outer product over them (None when all are 1) and the bound."""
+    pairs = [weight(d) for d in dims]
+    keep = [slice(0 if u2 else 1, None) for u2, _ in pairs]
+    scale = reduce(np.multiply.outer, [
+        np.sqrt([u2] + [v2] * (d * d - 1))[k] for d, (u2, v2), k in zip(dims, pairs, keep)])
+    return (Ellipsis, *keep), None if (scale == 1).all() else scale, _separable_bound(weight, dims)
+
+
 def multi_plain_bound(dims) -> float:
-    return sqrt(prod(d - 1 for d in dims) / prod(2 * d for d in dims))
+    return _separable_bound(_PLAIN, dims)
 
 
 def multi_canonical_bound(dims) -> float:
-    return sqrt(prod(d * d - d + 2 for d in dims) / prod(2 * d * d for d in dims))
+    return _separable_bound(_CANONICAL, dims)
 
 
 def dv_bound(d1: int, d2: int) -> float:
@@ -79,43 +100,43 @@ def li_bound(d1: int, d2: int) -> float:
 class _Analysis:
     """Correlation data of a stack of states, each piece computed on first use.
 
-    It holds the states' dims and their matrices as mat, a stack
-    (N, D, D): the two fields that correlation_tensor, partial_transpose
-    and realign read, so each of them acts on the whole stack at once.
+    It holds the states' dims and their matrices as mat, a stack (N, D, D):
+    the fields correlation_tensor and partial_transpose read, so each of
+    them acts on the whole stack at once.
     """
-
-    # the thm2 tensors named, as extended flags with the plain first; set by
-    # _evaluate, so thm2 runs one recurrence over all of them
-    thm2: list[bool]
 
     def __init__(self, dims: tuple[int, ...], mat: np.ndarray):
         self.dims = dims
         self.mat = mat
-        # the separable bound on every unfolding's trace norm, indexed by extended
-        self.bounds = (multi_plain_bound(dims), multi_canonical_bound(dims))
+        self.thm2: list = []  # the thm2 weights named, plain first; set by _evaluate
         self._extended: CorrelationTensor | None = None
-        self._spectra: dict[tuple[bool, int], tuple] = {}
-        self._required: dict[bool, np.ndarray] = {}
+        self._spectra: dict[tuple, tuple] = {}
+        self._required: dict = {}
 
-    def tensor(self, extended: bool) -> CorrelationTensor:
+    def tensor(self, weight) -> CorrelationTensor:
+        """T~ with identity slots scaled by u and generator slots by v, (u^2, v^2) =
+        weight(d); a zero u is sliced off, so T and T~ are views, not copies."""
         if self._extended is None:
             self._extended = correlation_tensor(self, extended=True)
-        return self._extended if extended else _plain(self._extended)
+        index, scale, _ = _weighting(weight, self.dims)
+        entries = self._extended.entries[index]
+        entries = entries if scale is None else entries * scale
+        return CorrelationTensor(self.dims, entries, extended=index[-1].start == 0)
 
-    def spectrum(self, extended: bool, mode: int) -> tuple:
-        """(sigmas, a1, a2, a3) of the mode-k unfolding of T~ (extended) or T:
+    def spectrum(self, weight, mode: int) -> tuple:
+        """(sigmas, a1, a2, a3) of the mode-k unfolding of the weighted T~:
         its singular values (N, r) and their power sums, each (N,).
 
         At n = 2 the mode-2 unfolding is the transpose of mode 1, so both
         modes share one entry.
         """
-        key = extended, 1 if len(self.dims) == 2 else mode
+        key = weight, 1 if len(self.dims) == 2 else mode
         if key not in self._spectra:
-            s = singular_values(unfold(self.tensor(extended), key[1]))
+            s = singular_values(unfold(self.tensor(weight), key[1]))
             self._spectra[key] = (s, *_power_sums(s, 3))
         return self._spectra[key]
 
-    def required_a1(self, extended: bool) -> np.ndarray:
+    def required_a1(self, weight) -> np.ndarray:
         """thm2's required_a1 (N, steps) of the mode-1 unfolding of T~ or T.
 
         One recurrence serves every thm2 tensor named, in one row layout:
@@ -124,7 +145,7 @@ class _Analysis:
         row never depends on which other thm2 tensor is named. Each row is
         capped at its spectrum's own a1, the one dv and li compare.
         """
-        if extended not in self._required:
+        if weight not in self._required:
             rows = np.zeros((len(self.thm2), len(self.mat), min(self.dims) ** 2))
             for block, t in zip(rows, self.thm2):
                 s = self.spectrum(t, 1)[0]
@@ -132,7 +153,7 @@ class _Analysis:
             a1 = np.concatenate([self.spectrum(t, 1)[1] for t in self.thm2])
             required = _required_a1(rows.reshape(len(a1), -1), a1, (prod(self.dims) - 1) // 2)
             self._required.update(zip(self.thm2, required.reshape(rows.shape[:2] + (-1,))))
-        return self._required[extended]
+        return self._required[weight]
 
 
 def moments_of_state(rho: DensityMatrix, canonical: bool, K: int | None = None) -> np.ndarray:
@@ -141,7 +162,8 @@ def moments_of_state(rho: DensityMatrix, canonical: bool, K: int | None = None) 
     Hankel matrix of moments.hankel_matrices."""
     d1, d2 = _require_bipartite(rho)
     a0 = float(d1 * d1 * d2 * d2 if canonical else (d1 * d1 - 1) * (d2 * d2 - 1))
-    (sigmas,) = _Analysis(rho.dims, rho.mat[None]).spectrum(canonical, 1)[0]
+    weight = _CANONICAL if canonical else _PLAIN
+    (sigmas,) = _Analysis(rho.dims, rho.mat[None]).spectrum(weight, 1)[0]
     return moment_vector(sigmas, d1 * d2 if K is None else K, a0)
 
 
@@ -152,24 +174,20 @@ def _ppt(a: _Analysis):
     return -lam_min, 0.0, [{"min_eigenvalue": lam} for lam in lam_min.tolist()]
 
 
-def _ccnr(a: _Analysis):
-    return trace_norm(realign(a)), 1.0, None
+def _trace_norm_test(weight, a: _Analysis):
+    """Max over mode-k unfoldings of the weighted T~'s trace norm: dv, li, ccnr."""
+    norms = (a.spectrum(weight, k)[1] for k in range(1, len(a.dims) + 1))
+    return reduce(np.maximum, norms), _weighting(weight, a.dims)[2], None
 
 
-def _trace_norm_test(extended: bool, a: _Analysis):
-    """Max over mode-k unfoldings of the trace norm of T~ (li) or T (dv)."""
-    norms = (a.spectrum(extended, k)[1] for k in range(1, len(a.dims) + 1))
-    return reduce(np.maximum, norms), a.bounds[extended], None
-
-
-def _moment_sides(extended: bool, a: _Analysis, mode: int) -> tuple[np.ndarray, np.ndarray]:
+def _moment_sides(weight, a: _Analysis, mode: int) -> tuple[np.ndarray, np.ndarray]:
     """(m2^2, bound * m3) of the mode-k unfoldings; separable states keep <=."""
-    _, _, m2, m3 = a.spectrum(extended, mode)
-    return m2 * m2, a.bounds[extended] * m3
+    _, _, m2, m3 = a.spectrum(weight, mode)
+    return m2 * m2, _weighting(weight, a.dims)[2] * m3
 
 
-def _thm1(canonical: bool, a: _Analysis):
-    return (*_moment_sides(canonical, a, 1), None)
+def _thm1(weight, a: _Analysis):
+    return (*_moment_sides(weight, a, 1), None)
 
 
 def _required_a1(s: np.ndarray, a1: np.ndarray, steps: int) -> np.ndarray:
@@ -206,11 +224,11 @@ def _required_a1(s: np.ndarray, a1: np.ndarray, steps: int) -> np.ndarray:
     return np.where(growing, np.minimum(top * total, a1), a1)
 
 
-def _thm2(canonical: bool, a: _Analysis):
+def _thm2(weight, a: _Analysis):
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
-    bound = a.bounds[canonical]
-    _, _, m2, m3 = a.spectrum(canonical, 1)
-    required = a.required_a1(canonical)
+    bound = _weighting(weight, a.dims)[2]
+    _, _, m2, m3 = a.spectrum(weight, 1)
+    required = a.required_a1(weight)
     # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
     # sign is that of -(thm1 margin), computed from the same sums
     m2_sq = m2 * m2
@@ -223,10 +241,10 @@ def _thm2(canonical: bool, a: _Analysis):
     return required.max(axis=-1), bound, details
 
 
-def _thm3(extended: bool, a: _Analysis):
+def _thm3(weight, a: _Analysis):
     """Per-mode test of m2^2 <= bound * m3 over all unfoldings."""
     sides = [
-        [side.tolist() for side in _moment_sides(extended, a, mode)]
+        [side.tolist() for side in _moment_sides(weight, a, mode)]
         for mode in range(1, len(a.dims) + 1)
     ]
     worst, details = [], []
@@ -240,23 +258,20 @@ def _thm3(extended: bool, a: _Analysis):
     return [m["quantity"] for m in worst], [m["bound"] for m in worst], details
 
 
-# the thm2 name of the plain (False) and the extended (True) tensor
-_THM2_NAMES = {False: "thm2-plain", True: "thm2-canonical"}
-
 # name -> (bipartite only, fn(analysis) -> (quantity, bound, details)), in
 # report order; the columns hold one quantity per state, one bound per state
 # or one shared, and one detail dict per state or None
 _REGISTRY = {
     "ppt": (True, _ppt),
-    "ccnr": (True, _ccnr),
-    "dv": (False, partial(_trace_norm_test, False)),
-    "li": (False, partial(_trace_norm_test, True)),
-    "thm1-plain": (True, partial(_thm1, False)),
-    "thm1-canonical": (True, partial(_thm1, True)),
-    "thm2-plain": (True, partial(_thm2, False)),
-    "thm2-canonical": (True, partial(_thm2, True)),
-    "thm3-plain": (False, partial(_thm3, False)),
-    "thm3-canonical": (False, partial(_thm3, True)),
+    "ccnr": (True, partial(_trace_norm_test, _REALIGNED)),
+    "dv": (False, partial(_trace_norm_test, _PLAIN)),
+    "li": (False, partial(_trace_norm_test, _CANONICAL)),
+    "thm1-plain": (True, partial(_thm1, _PLAIN)),
+    "thm1-canonical": (True, partial(_thm1, _CANONICAL)),
+    "thm2-plain": (True, partial(_thm2, _PLAIN)),
+    "thm2-canonical": (True, partial(_thm2, _CANONICAL)),
+    "thm3-plain": (False, partial(_thm3, _PLAIN)),
+    "thm3-canonical": (False, partial(_thm3, _CANONICAL)),
 }
 
 
@@ -358,7 +373,7 @@ def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
     if bipartite and len(dims) != 2:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
     a = _Analysis(dims, np.array([rho.mat for rho in rhos]))
-    a.thm2 = [t for t in (False, True) if _THM2_NAMES[t] in names]
+    a.thm2 = [_REGISTRY[n][1].args[0] for n in ("thm2-plain", "thm2-canonical") if n in names]
     rows = [[] for _ in rhos]
     for name in names:
         quantity, bound, details = _REGISTRY[name][1](a)

@@ -30,7 +30,7 @@ from ctmoments import (
     werner,
 )
 from ctmoments.cli import criterion_margin, find_threshold
-from ctmoments.criteria import DEFAULT_TOL, _Analysis, _evaluate
+from ctmoments.criteria import _CANONICAL, _PLAIN, DEFAULT_TOL, _Analysis, _evaluate
 from ctmoments.moments import hankel_matrices
 from ctmoments.states import random_density, random_pure_product, random_separable
 
@@ -204,7 +204,8 @@ def test_criterion_6_holder_chain(capsys):
             a0 = float(prod(d * d if canonical else d * d - 1 for d in dims))
             # one SVD per dims and tensor serves both checks: the chain reads
             # up to a_9, the Hankel matrices up to a_{d1*d2}
-            for i, s in zip(range(j, 1000, 3), a.spectrum(canonical, 1)[0]):
+            sigmas = a.spectrum(_CANONICAL if canonical else _PLAIN, 1)[0]
+            for i, s in zip(range(j, 1000, 3), sigmas):
                 m = moment_vector(s, max(9, prod(dims)), a0)
                 v = m.tolist()
                 for k in range(2, 9):

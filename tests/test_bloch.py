@@ -122,6 +122,14 @@ def test_unfold_matrix_tensor():
         unfold(t, 3)
 
 
+@pytest.mark.parametrize("mode", [1.0, 2.5, "1", None])
+def test_unfold_rejects_a_mode_that_is_not_an_integer(mode):
+    t = correlation_tensor(random_density((2, 2, 3), np.random.default_rng(1)))
+    with pytest.raises(ModeOutOfRange):
+        unfold(t, mode)
+    assert np.array_equal(unfold(t, np.int64(2)), unfold(t, 2))
+
+
 def test_ghz3_unfolding_singular_values():
     t = correlation_tensor(ghz(3))
     for mode in (1, 2, 3):

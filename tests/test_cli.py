@@ -43,7 +43,7 @@ def test_analyze_criteria_subset_and_output_file(tmp_path, capsys):
     assert payload["any_violated"] is True
 
 
-def test_analyze_baselines_build_no_tensor(tmp_path, capsys, monkeypatch):
+def test_analyze_ppt_builds_no_tensor_and_ccnr_one(tmp_path, capsys, monkeypatch):
     state = str(tmp_path / "w.json")
     run(capsys, "generate", "--family", "werner", "--d", "3", "--x", "-0.8",
         "-o", state)
@@ -55,10 +55,15 @@ def test_analyze_baselines_build_no_tensor(tmp_path, capsys, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "expectation_tensor", counted)
+    code, out, _ = run(capsys, "analyze", state, "--criteria", "ppt")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["reports"]] == ["ppt"]
+    assert calls == []
+    # ccnr reads T~ under its weight: one build, shared with ppt's analysis
     code, out, _ = run(capsys, "analyze", state, "--criteria", "ppt,ccnr")
     assert code == 0
     assert [r["name"] for r in json.loads(out)["reports"]] == ["ppt", "ccnr"]
-    assert calls == []
+    assert calls == [(3, 3)]
 
 
 def test_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

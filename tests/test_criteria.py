@@ -1,4 +1,6 @@
 import json
+from itertools import product
+from math import prod, sqrt
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from ctmoments import (
     multi_plain_bound,
     ppt_criterion,
     pure_product,
+    realign,
     theorem1,
     theorem2,
     theorem3,
     tiles_ppt,
+    trace_norm,
     werner,
 )
 from ctmoments.cli import criterion_margin
@@ -132,6 +136,45 @@ def test_bipartite_bounds_are_the_product_bounds():
             assert li_bound(d1, d2) == multi_canonical_bound((d1, d2)), (d1, d2)
 
 
+def test_one_bound_formula_is_the_closed_forms():
+    # the weighted bound equals each tensor's own closed form bit for bit,
+    # and is exactly 1 under ccnr's weight
+    for n in (2, 3, 4):
+        for dims in product(range(2, 8), repeat=n):
+            plain = sqrt(prod(d - 1 for d in dims) / prod(2 * d for d in dims))
+            canonical = sqrt(prod(d * d - d + 2 for d in dims) / prod(2 * d * d for d in dims))
+            assert multi_plain_bound(dims) == plain, dims
+            assert multi_canonical_bound(dims) == canonical, dims
+            assert criteria._separable_bound(criteria._REALIGNED, dims) == 1.0, dims
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)])
+def test_ccnr_weight_gives_the_realigned_trace_norm(dims):
+    # T~ in the orthonormal operator basis has the realigned state's trace
+    # norm, whether a state is scored alone or in a stack
+    rng = np.random.default_rng(prod(dims))
+    rhos = [random_density(dims, rng) for _ in range(6)]
+    stacked = criteria._evaluate(rhos, DEFAULT_TOL, ["ccnr"])
+    for rho, (report,) in zip(rhos, stacked):
+        want = float(trace_norm(realign(rho)))
+        for got in (report.quantity, ccnr_criterion(rho).quantity):
+            assert abs(got - want) <= 2e-15 * max(1.0, want), (dims, got, want)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 3)])
+def test_plain_and_canonical_weights_are_views_of_t_tilde(dims):
+    # dv's and li's tensors slice T~ without copying; only ccnr's multiplies
+    rho = random_density(dims, np.random.default_rng(71))
+    a = criteria._Analysis(dims, rho.mat[None])
+    canonical, plain = (a.tensor(w).entries for w in (criteria._CANONICAL, criteria._PLAIN))
+    t_tilde = a._extended.entries
+    assert np.shares_memory(canonical, t_tilde) and np.array_equal(canonical, t_tilde)
+    assert np.shares_memory(plain, t_tilde)
+    assert np.array_equal(plain, t_tilde[(Ellipsis,) + (slice(1, None),) * len(dims)])
+    if len(dims) == 2:
+        assert not np.shares_memory(a.tensor(criteria._REALIGNED).entries, t_tilde)
+
+
 def test_theorem3_matches_theorem1_at_n2():
     # at n = 2 Theorem 3 is Theorem 1: the same bound and the same sums
     rng = np.random.default_rng(41)
@@ -209,7 +252,8 @@ def test_one_tensor_build_per_evaluate_all(monkeypatch):
 
 
 def test_one_svd_per_distinct_unfolding(monkeypatch):
-    # at n = 2 mode 2 is the transpose of mode 1: one SVD each for T and T~
+    # at n = 2 mode 2 is the transpose of mode 1: one SVD each for T, T~
+    # and T~ in the orthonormal basis (ccnr)
     shapes = []
     svd = criteria.singular_values
 
@@ -220,7 +264,7 @@ def test_one_svd_per_distinct_unfolding(monkeypatch):
 
     monkeypatch.setattr(criteria, "singular_values", counted)
     rng = np.random.default_rng(61)
-    for dims, want in [((3, 3), [(8, 8), (9, 9)]), ((2, 3), [(3, 8), (4, 9)]),
+    for dims, want in [((3, 3), [(8, 8), (9, 9), (9, 9)]), ((2, 3), [(3, 8), (4, 9), (4, 9)]),
                        ((2, 2, 2), [(3, 9)] * 3 + [(4, 16)] * 3)]:
         shapes.clear()
         evaluate_all(random_density(dims, rng))
@@ -228,7 +272,8 @@ def test_one_svd_per_distinct_unfolding(monkeypatch):
 
 
 def test_one_power_sum_set_per_distinct_unfolding(monkeypatch):
-    # dv/li read a1 from the spectrum that thm1..thm3 read a2 and a3 from
+    # dv/li read a1 from the spectrum that thm1..thm3 read a2 and a3 from;
+    # ccnr's weighted T~ is the third spectrum at n = 2
     calls = []
     power_sums = criteria._power_sums
 
@@ -238,7 +283,7 @@ def test_one_power_sum_set_per_distinct_unfolding(monkeypatch):
 
     monkeypatch.setattr(criteria, "_power_sums", counted)
     rng = np.random.default_rng(67)
-    for dims, want in [((3, 3), 2), ((2, 2, 2), 6)]:
+    for dims, want in [((3, 3), 3), ((2, 2, 2), 6)]:
         calls.clear()
         evaluate_all(random_density(dims, rng))
         assert len(calls) == want, dims

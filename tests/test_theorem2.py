@@ -28,7 +28,9 @@ from ctmoments import (
     tiles_ppt,
 )
 from ctmoments.cli import find_threshold
-from ctmoments.criteria import DEFAULT_TOL, _Analysis, _evaluate, _required_a1
+from ctmoments.criteria import (
+    _CANONICAL, _PLAIN, DEFAULT_TOL, _Analysis, _evaluate, _required_a1,
+)
 from ctmoments.moments import hankel_matrices
 from ctmoments.states import random_density, random_pure_product, random_pure_state, werner
 
@@ -111,7 +113,7 @@ def _sigma_rows(n, seed):
             rhos.append(DensityMatrix((4, 4), np.outer(v, v.conj())))
         else:
             rhos.append(random_pure_product((4, 4), rng))
-    rows = _Analysis((4, 4), np.stack([rho.mat for rho in rhos])).spectrum(True, 1)[0].copy()
+    rows = _Analysis((4, 4), np.stack([rho.mat for rho in rhos])).spectrum(_CANONICAL, 1)[0].copy()
     specials = (np.zeros(16), np.full(16, 0.25), np.eye(16)[0] * 0.7)
     for k, row in zip((0, n // 2, n - 1), specials):
         rows[k] = row
@@ -227,7 +229,8 @@ def test_5x5_required_a1_matches_exact_arithmetic(seed, canonical):
     # float sigmas, at the last of 12 steps
     rho = random_density((5, 5), np.random.default_rng(seed))
     (report,) = [r for r in evaluate_all(rho) if r.name == THM2[canonical]]
-    (s,) = _Analysis(rho.dims, rho.mat[None]).spectrum(canonical, 1)[0].tolist()
+    a = _Analysis(rho.dims, rho.mat[None])
+    (s,) = a.spectrum(_CANONICAL if canonical else _PLAIN, 1)[0].tolist()
     required = report.detail["required_a1"]
     want = float(_exact_required([Fraction(x) for x in s], len(required)))
     assert abs(required[-1] - want) <= 1e-14 * want, (required[-1], want)
@@ -317,7 +320,7 @@ def test_required_a1_chain_and_detection_chain(dims, seed, rank, noise):
     a = _Analysis(rho.dims, rho.mat[None])
     steps = (d - 1) // 2
     for canonical in (False, True):
-        (s,) = a.spectrum(canonical, 1)[0]
+        (s,) = a.spectrum(_CANONICAL if canonical else _PLAIN, 1)[0]
         (required,) = _required_a1(s[None], s[None].sum(axis=-1), steps).tolist()
         # a2^2 / a3 = top * b2^2 / b3 with b_k = sum (s / top)^k: on the raw
         # sums a2 * a2 turns subnormal near noise 1e-78 and a3 near 1e-107,
