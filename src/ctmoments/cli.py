@@ -16,7 +16,8 @@ import numpy as np
 from . import criteria, io, states
 from .errors import CtmError, ParamOutOfRange
 
-COARSE_STEP = 1e-2  # find_threshold's grid step before bisection
+COARSE_STEP = 1e-2  # find_threshold's grid step before refinement
+SECANT_ROUNDS = 4  # secant pairs per bracket before find_threshold bisects
 _GRID_BLOCK = 64  # grid states per stacked analysis; bounds the memory it holds
 _MIN_PRECISION = 1e-8
 # criteria whose margin along a white-noise sweep crosses zero at
@@ -88,20 +89,22 @@ def cmd_analyze(args) -> int:
 
 def criterion_margin(rho, name, tol) -> float:
     """Detection margin: positive means the named criterion flags rho."""
-    ((report,),) = criteria._evaluate([rho], tol, [name])
-    return report.margin - tol
+    (margin,) = criteria._margins([rho], tol, name)
+    return margin
 
 
 def find_threshold(
     state_at, criterion, lo, hi, tol=criteria.DEFAULT_TOL, precision=1e-5
 ):
-    """Bracket sign changes of the margin on a coarse grid, then bisect.
+    """Bracket sign changes of the margin on a coarse grid, then refine each.
 
     Returns (crossings, brackets): refined crossing points and the coarse
     brackets they came from. state_at maps the scalar parameter to a state.
     The grid is scored in stacks of _GRID_BLOCK states, which must share
-    their dims (else InvalidDimension), each bisection step one state at a
-    time.
+    their dims (else InvalidDimension). Each bracket is refined by secant
+    estimates, each checked with one stacked pair of states, and after
+    SECANT_ROUNDS rounds by bisection one state at a time; every crossing
+    lies within precision / 2 of a sign change of the margin.
     """
     if not (isfinite(lo) and isfinite(hi) and lo < hi):
         raise ParamOutOfRange(f"need finite lo < hi, got lo = {lo}, hi = {hi}")
@@ -109,27 +112,53 @@ def find_threshold(
         raise ParamOutOfRange(
             f"precision must be finite and >= {_MIN_PRECISION}, got {precision}")
     n_steps = max(1, int(round((hi - lo) / COARSE_STEP)))
-    xs = np.linspace(lo, hi, n_steps + 1)
+    xs = np.linspace(lo, hi, n_steps + 1).tolist()
     gs = []
     for start in range(0, len(xs), _GRID_BLOCK):
         block = [state_at(x) for x in xs[start:start + _GRID_BLOCK]]
-        rows = criteria._evaluate(block, tol, [criterion])
-        gs += [report.margin - tol for (report,) in rows]
+        gs += criteria._margins(block, tol, criterion)
     crossings, brackets = [], []
     for i in range(n_steps):
-        if (gs[i] > 0) == (gs[i + 1] > 0):
-            continue
-        a, b, ga = float(xs[i]), float(xs[i + 1]), gs[i]
-        brackets.append((a, b))
-        while b - a > precision:
-            mid = 0.5 * (a + b)
-            gm = criterion_margin(state_at(mid), criterion, tol)
-            if (gm > 0) == (ga > 0):
-                a, ga = mid, gm
-            else:
-                b = mid
-        crossings.append(0.5 * (a + b))
+        if (gs[i] > 0) != (gs[i + 1] > 0):
+            brackets.append((xs[i], xs[i + 1]))
+            crossings.append(_refine(state_at, criterion, tol, precision,
+                                     xs[i], xs[i + 1], gs[i], gs[i + 1]))
     return crossings, brackets
+
+
+def _refine(state_at, criterion, tol, precision, a, b, ga, gb) -> float:
+    """A point within precision / 2 of a sign change of the margin in [a, b],
+    whose ends have the margins ga and gb of opposite signs.
+
+    Each round takes the secant estimate x through the ends, clamped to
+    [a + h, b - h] with h = precision / 2, and scores x - h and x + h as one
+    stacked pair: x is returned if their signs differ, else the end on their
+    side moves to the nearer of them. The ends' signs differ, so the secant
+    is always defined, even on a step where the pair's margins are equal.
+    What is left after SECANT_ROUNDS rounds is bisected.
+    """
+    h = 0.5 * precision
+    for _ in range(SECANT_ROUNDS):
+        if b - a <= precision:
+            break
+        x = min(max(a - ga * (b - a) / (gb - ga), a + h), b - h)
+        # (a + h) - h may round below a, which may be the range's end
+        left, right = max(x - h, a), min(x + h, b)
+        g_left, g_right = criteria._margins([state_at(left), state_at(right)], tol, criterion)
+        if (g_left > 0) != (g_right > 0):
+            return x
+        if (g_left > 0) == (ga > 0):
+            a, ga = right, g_right
+        else:
+            b, gb = left, g_left
+    while b - a > precision:
+        mid = 0.5 * (a + b)
+        gm = criterion_margin(state_at(mid), criterion, tol)
+        if (gm > 0) == (ga > 0):
+            a, ga = mid, gm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _closed_form(extreme, criterion, tol) -> float | None:

@@ -7,7 +7,7 @@ violated = margin > tol.
 
 Each state is analysed once, as part of a stack of states that share their
 dims: evaluate_all is a stack of one, and a threshold search scores its
-coarse grid in stacks. `_evaluate` takes the states, checks that they share
+coarse grid in stacks. `_columns` takes the states, checks that they share
 dims and stacks their matrices. `_Analysis` builds the stacked extended
 correlation tensor T~ on first use, reads every tensor as T~ under a party
 weight (so dv, li and ccnr are one trace-norm test), and keeps one spectrum
@@ -20,8 +20,9 @@ its state, tol and its own name, never on the stack it was scored in or on
 the other names. Every criterion is one entry of `_REGISTRY`, which fixes
 its name, its place in evaluate_all's order and whether it needs a
 bipartite state. An entry maps the analysis to columns over the stack,
-(quantity, bound, details), and `_evaluate` alone checks tol and the names
-and turns the columns into reports; the public functions are thin wrappers
+(quantity, bound, details), and `_columns` alone checks tol and the names.
+`_evaluate` turns the columns into reports, and `_margins` into the bare
+margins a threshold search follows; the public functions are thin wrappers
 over evaluate_all.
 """
 
@@ -108,7 +109,7 @@ class _Analysis:
     def __init__(self, dims: tuple[int, ...], mat: np.ndarray):
         self.dims = dims
         self.mat = mat
-        self.thm2: list = []  # the thm2 weights named, plain first; set by _evaluate
+        self.thm2: list = []  # the thm2 weights named, plain first; set by _columns
         self._extended: CorrelationTensor | None = None
         self._spectra: dict[tuple, tuple] = {}
         self._required: dict = {}
@@ -350,11 +351,12 @@ def evaluate_all(
     return reports
 
 
-def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
-    """evaluate_all of each of the states rhos, one stacked analysis for all
-    of them. The one place that stacks states, checks that they share dims
-    (else InvalidDimension), checks tol and the names and applies the margin
-    rule."""
+def _columns(rhos, tol, names) -> list[tuple]:
+    """The named criteria's columns over one stacked analysis of the states
+    rhos: (name, quantities, bounds) per name, each column Python floats (a
+    shared bound repeats), plus details. The one place that stacks states,
+    checks that they share dims (else InvalidDimension) and checks tol and
+    the names."""
     dims = rhos[0].dims
     others = {rho.dims for rho in rhos if rho.dims != dims}
     if others:
@@ -374,13 +376,30 @@ def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
     a = _Analysis(dims, np.array([rho.mat for rho in rhos]))
     a.thm2 = [_REGISTRY[n][1].args[0] for n in ("thm2-plain", "thm2-canonical") if n in names]
-    rows = [[] for _ in rhos]
+    columns = []
     for name in names:
         quantity, bound, details = _REGISTRY[name][1](a)
         quantity = np.asarray(quantity, dtype=np.float64).tolist()
         bound = np.asarray(bound, dtype=np.float64).tolist()
         bounds = bound if isinstance(bound, list) else repeat(bound)
-        for row, q, b, detail in zip(rows, quantity, bounds, details or repeat(None)):
+        columns.append((name, quantity, bounds, details or repeat(None)))
+    return columns
+
+
+def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
+    """evaluate_all of each of the states rhos, one stacked analysis for all
+    of them; applies the margin rule to _columns."""
+    rows = [[] for _ in rhos]
+    for name, quantity, bounds, details in _columns(rhos, tol, names):
+        for row, q, b, detail in zip(rows, quantity, bounds, details):
             margin = q - b
             row.append(CriterionReport(name, q, b, margin > tol, margin, detail))
     return rows
+
+
+def _margins(rhos, tol, name) -> list[float]:
+    """margin - tol of the one named criterion on each of the states rhos,
+    bit-identical to the report's margin - tol: positive exactly when the
+    criterion flags the state. Builds no report."""
+    ((_, quantity, bounds, _),) = _columns(rhos, tol, [name])
+    return [q - b - tol for q, b in zip(quantity, bounds)]

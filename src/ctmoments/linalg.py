@@ -38,7 +38,8 @@ def _check_hermitian(m: np.ndarray, defect=None):
         rows = [_check_hermitian(m[k]) for k in np.ndindex(m.shape[:-2])]
         scale, defect = np.reshape(rows, (-1, 2)).T.reshape((2,) + m.shape[:-2])
         return scale, defect
-    peak = float(np.abs(m).max(initial=0.0))  # NaN or Inf if any entry is
+    # NaN or Inf if any entry is; the ufunc's own reduce skips max()'s wrappers
+    peak = float(np.maximum.reduce(np.abs(m), axis=None, initial=0.0))
     if not isfinite(peak):
         raise NotHermitian("matrix contains NaN or Inf entries")
     scale = max(1.0, peak)
@@ -138,11 +139,12 @@ class DensityMatrix:
 
 
 def _derived_state(dims: tuple[int, ...], mat, lam_min: float, defect: float):
-    """A state of known dims whose lambda_min and Hermiticity defect are
-    known in closed form: the same rules as DensityMatrix, with those two
-    residuals given instead of measured (the trace and scale still are)."""
+    """A state of validated dims (a tuple of ints, kept as given) whose
+    lambda_min and Hermiticity defect are known in closed form: the same
+    rules as DensityMatrix, with those two residuals given instead of
+    measured (the trace and scale still are)."""
     rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "dims", tuple(int(d) for d in dims))
+    object.__setattr__(rho, "dims", dims)
     object.__setattr__(rho, "mat", np.ascontiguousarray(mat, dtype=np.complex128))
     rho._apply_rules(defect, lam_min)
     return rho

@@ -1,5 +1,4 @@
 import json
-from math import ceil, log2
 from pathlib import Path
 
 import numpy as np
@@ -237,9 +236,10 @@ def test_threshold_werner_thm1(capsys):
 
 
 def test_threshold_reuses_coarse_grid_margins():
-    # the werner d = 3 thm1-plain margin changes sign once on [-1, 1]; each
-    # bisection step builds one state, and the bracket's left end reuses its
-    # coarse-grid margin instead of rebuilding that state
+    # the werner d = 3 thm1-plain margin changes sign once on [-1, 1]; the
+    # secant estimates start from the bracket's two coarse-grid margins
+    # instead of rebuilding those states, and each round builds one pair:
+    # the margin is of fourth order in x, so the second pair straddles
     calls = []
 
     def state_at(x):
@@ -249,8 +249,7 @@ def test_threshold_reuses_coarse_grid_margins():
     crossings, brackets = find_threshold(state_at, "thm1-plain", -1.0, 1.0)
     assert len(brackets) == 1 and abs(crossings[0] - (-1 / 3)) < 1e-4
     grid = 201  # coarse step 0.01 over [-1, 1]
-    bisections = ceil(log2(0.01 / 1e-5))
-    assert len(calls) == grid + bisections
+    assert len(calls) == grid + 2 * 2
 
 
 def threshold_of(capsys, *argv):
@@ -337,7 +336,9 @@ def test_threshold_payload_reports_evaluations_and_closed_form(capsys, criterion
     assert payload["closed_form"] == pytest.approx(want, abs=1e-12)
     assert abs(payload["threshold"] - want) < 1e-5
     grid = int(round(1 / COARSE_STEP)) + 1
-    assert payload["evaluations"] == grid + ceil(log2(COARSE_STEP / 1e-5))
+    # dv's margin is affine in the noise level, thm1-plain's of fourth order
+    pairs = {"dv": 1, "thm1-plain": 2}[criterion]
+    assert payload["evaluations"] == grid + 2 * pairs
 
 
 def test_threshold_payload_werner_closed_form(capsys):
@@ -346,7 +347,7 @@ def test_threshold_payload_werner_closed_form(capsys):
     assert payload["closed_form"] == pytest.approx(-1 / 3, abs=1e-15)
     assert abs(payload["threshold"] - payload["closed_form"]) < 1e-5
     grid = int(round(2 / COARSE_STEP)) + 1
-    assert payload["evaluations"] == grid + ceil(log2(COARSE_STEP / 1e-5))
+    assert payload["evaluations"] == grid + 2 * 2  # two secant pairs
     # no closed form where none is known, nor where the sweep never crosses: a
     # product state is never flagged (bound / quantity at x = 1 would be a
     # rounding artefact near 1), at --tol 1 tiles-ppt is not flagged at x = 1,

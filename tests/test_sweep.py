@@ -1,13 +1,15 @@
-"""The threshold search scores its coarse grid as stacked analyses: it must
-find exactly what a one-state-at-a-time search finds, and stay cheap."""
+"""The threshold search scores its coarse grid as stacked analyses and
+refines each bracket with stacked secant pairs: it must find the brackets a
+one-state-at-a-time search finds, crossings within its precision, and stay
+cheap."""
 
 from math import ceil, log2
 
 import numpy as np
 import pytest
 
-from ctmoments import DensityMatrix, criteria, evaluate_all, states
-from ctmoments.cli import COARSE_STEP, criterion_margin, find_threshold
+from ctmoments import DensityMatrix, cli, criteria, evaluate_all, states
+from ctmoments.cli import COARSE_STEP, SECANT_ROUNDS, criterion_margin, find_threshold
 from ctmoments.criteria import DEFAULT_TOL
 from ctmoments.errors import InvalidDimension
 
@@ -26,8 +28,8 @@ def reference_grid(state_at, names, lo, hi):
 
 
 def reference_search(state_at, criterion, xs, gs, precision=1e-5):
-    """find_threshold's brackets and bisection on a reference grid, one
-    criterion_margin per bisection state."""
+    """The brackets of a reference grid, each bisected to precision with one
+    criterion_margin per state: the search before its secant pairs."""
     crossings, brackets = [], []
     for i in range(len(xs) - 1):
         if (gs[i] > 0) == (gs[i + 1] > 0):
@@ -71,12 +73,24 @@ FAMILIES = {
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_grid_search_matches_one_state_at_a_time(family):
+    # the grid and its brackets are the reference's; the refinement may land
+    # elsewhere in the bracket, but within precision of the reference's
+    # crossing and with a sign change of the margin within precision / 2
     make, names = FAMILIES[family]
     state_at, lo, hi = make()
     xs, margins = reference_grid(state_at, names, lo, hi)
+    precision = 1e-5
     for name in names:
-        assert find_threshold(state_at, name, lo, hi) == \
-            reference_search(state_at, name, xs, margins[name]), name
+        crossings, brackets = find_threshold(state_at, name, lo, hi, precision=precision)
+        want, want_brackets = reference_search(state_at, name, xs, margins[name], precision)
+        assert brackets == want_brackets, name
+        assert len(crossings) == len(want), name
+        for c, w in zip(crossings, want):
+            assert abs(c - w) <= precision, (name, c, w)
+            g_left, g_right = (
+                criterion_margin(state_at(min(max(c + dx, lo), hi)), name, DEFAULT_TOL)
+                for dx in (-0.51 * precision, 0.51 * precision))
+            assert (g_left > 0) != (g_right > 0), (name, c)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 5),
@@ -125,7 +139,7 @@ def test_swept_states_need_no_eigensolver(monkeypatch):
     assert calls == []
 
 
-def test_tiles_search_builds_one_analysis_per_block_and_bisection(monkeypatch):
+def test_tiles_search_builds_one_analysis_per_block_and_secant_pair(monkeypatch):
     built = []
 
     class Counted(criteria._Analysis):
@@ -138,11 +152,12 @@ def test_tiles_search_builds_one_analysis_per_block_and_bisection(monkeypatch):
     crossings, brackets = find_threshold(
         lambda x: states.mix_white_noise(tiles, x), "li", 0.0, 1.0)
     assert len(brackets) == 1 and abs(crossings[0] - 0.89252) < 1e-5
-    bisections = ceil(log2(COARSE_STEP / 1e-5))
-    assert built == [64, 37] + [1] * bisections
+    # li's margin is nearly affine across the bracket: the first secant
+    # pair straddles the crossing
+    assert built == [64, 37, 2]
 
 
-def test_thm2_search_runs_one_recurrence_per_block_and_bisection(monkeypatch):
+def test_thm2_search_runs_one_recurrence_per_block_and_secant_pair(monkeypatch):
     # one tensor named: its rows (8 values at (3, 3)) are zero-padded to the
     # canonical width 9, as when both are named
     calls = []
@@ -157,5 +172,30 @@ def test_thm2_search_runs_one_recurrence_per_block_and_bisection(monkeypatch):
     crossings, brackets = find_threshold(
         lambda x: states.mix_white_noise(tiles, x), "thm2-plain", 0.0, 1.0)
     assert len(brackets) == 1 and abs(crossings[0] - 0.94929) < 1e-5
-    bisections = ceil(log2(COARSE_STEP / 1e-5))
-    assert calls == [(64, 9), (37, 9)] + [(1, 9)] * bisections
+    assert calls == [(64, 9), (37, 9), (2, 9)]
+
+
+def test_margin_step_falls_back_to_bisection(monkeypatch):
+    # ppt's margin jumps from +0.25 to -0.25 inside the grid cell [0.42,
+    # 0.43]: no secant pair straddles the jump, so the search bisects what
+    # its SECANT_ROUNDS pairs leave and still lands within precision / 2
+    step, precision = 0.4237, 1e-5
+    entangled, separable = states.werner(2, -0.5), states.werner(2, 0.5)
+    scored, bisections = [], []
+    margin = criterion_margin
+
+    def counted(*args):
+        bisections.append(args)
+        return margin(*args)
+
+    def state_at(x):
+        scored.append(x)
+        return entangled if x < step else separable
+
+    monkeypatch.setattr(cli, "criterion_margin", counted)
+    crossings, brackets = find_threshold(state_at, "ppt", 0.0, 1.0, precision=precision)
+    assert brackets == [(0.42, 0.43)] and len(crossings) == 1
+    assert abs(crossings[0] - step) <= precision / 2
+    grid = int(round(1 / COARSE_STEP)) + 1
+    assert bisections and len(scored) == grid + 2 * SECANT_ROUNDS + len(bisections)
+    assert len(scored) <= grid + 2 * SECANT_ROUNDS + ceil(log2(COARSE_STEP / precision))

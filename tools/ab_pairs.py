@@ -123,6 +123,18 @@ def main() -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
+    # a misspelt --claim or --trace fails now, not after every pair has run
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if args.claim:
+        workload, _, name = args.claim.partition(":")
+        if workload not in workloads or name not in metrics:
+            parser.error(f"--claim {args.claim}: expected WORKLOAD:METRIC with a workload "
+                         f"of {workloads} and a metric of {metrics}")
+    for item in args.trace:
+        workload, _, seed = item.rpartition(":")
+        if workload not in workloads or not seed.isdigit():
+            parser.error(f"--trace {item}: expected WORKLOAD:SEED with a workload of "
+                         f"{workloads} and a seed >= 0")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(rev, trees[side])
