@@ -353,10 +353,10 @@ def evaluate_all(
 
 def _columns(rhos, tol, names) -> list[tuple]:
     """The named criteria's columns over one stacked analysis of the states
-    rhos: (name, quantities, bounds) per name, each column Python floats (a
-    shared bound repeats), plus details. The one place that stacks states,
-    checks that they share dims (else InvalidDimension) and checks tol and
-    the names."""
+    rhos: (name, quantities, bounds, details) per name, quantities and
+    bounds as Python floats (a shared bound repeats), details a dict or None
+    per state. The one place that stacks states, checks that they share dims
+    (else InvalidDimension) and checks tol and the names."""
     dims = rhos[0].dims
     others = {rho.dims for rho in rhos if rho.dims != dims}
     if others:

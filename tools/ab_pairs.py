@@ -20,7 +20,8 @@ neither side). --claim W:METRIC judges one claimed gain: met when the
 change wins at least 9 in 10 pairs and its median beats the parent's by
 more than the parent's interquartile range. --trace W:SEED adds one
 traced pair (run.py --trace 1, TRACE_SECONDS long) whose per-layer
-metrics go under "trace".
+metrics go under "trace". A --claim or --trace that names a workload or
+metric BENCHMARK.json does not have stops the script before anything runs.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def main() -> int:
                          f"of {workloads} and a metric of {metrics}")
     for item in args.trace:
         workload, _, seed = item.rpartition(":")
-        if workload not in workloads or not seed.isdigit():
+        if workload not in workloads or not seed.isdecimal():
             parser.error(f"--trace {item}: expected WORKLOAD:SEED with a workload of "
                          f"{workloads} and a seed >= 0")
     with tempfile.TemporaryDirectory() as tmp:
