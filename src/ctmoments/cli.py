@@ -113,51 +113,49 @@ def find_threshold(
             f"precision must be finite and >= {_MIN_PRECISION}, got {precision}")
     n_steps = max(1, int(round((hi - lo) / COARSE_STEP)))
     xs = np.linspace(lo, hi, n_steps + 1).tolist()
+
+    def score(points):
+        return criteria._margins([state_at(x) for x in points], tol, criterion)
+
     gs = []
     for start in range(0, len(xs), _GRID_BLOCK):
-        block = [state_at(x) for x in xs[start:start + _GRID_BLOCK]]
-        gs += criteria._margins(block, tol, criterion)
+        gs += score(xs[start:start + _GRID_BLOCK])
     crossings, brackets = [], []
     for i in range(n_steps):
         if (gs[i] > 0) != (gs[i + 1] > 0):
             brackets.append((xs[i], xs[i + 1]))
-            crossings.append(_refine(state_at, criterion, tol, precision,
-                                     xs[i], xs[i + 1], gs[i], gs[i + 1]))
+            crossings.append(_refine(score, precision, xs[i], xs[i + 1], gs[i], gs[i + 1]))
     return crossings, brackets
 
 
-def _refine(state_at, criterion, tol, precision, a, b, ga, gb) -> float:
+def _refine(score, precision, a, b, ga, gb) -> float:
     """A point within precision / 2 of a sign change of the margin in [a, b],
-    whose ends have the margins ga and gb of opposite signs.
+    whose ends have the margins ga and gb of opposite signs; score maps a
+    list of points to their margins, scored as one stacked analysis.
 
-    Each round takes the secant estimate x through the ends, clamped to
-    [a + h, b - h] with h = precision / 2, and scores x - h and x + h as one
-    stacked pair: x is returned if their signs differ, else the end on their
-    side moves to the nearer of them. The ends' signs differ, so the secant
-    is always defined, even on a step where the pair's margins are equal.
-    What is left after SECANT_ROUNDS rounds is bisected.
+    The first SECANT_ROUNDS rounds score x - h and x + h, h = precision / 2,
+    around the secant estimate x through the ends, clamped to [a + h, b - h];
+    later rounds score the midpoint x alone. x is returned if the first and
+    last margins differ in sign, else the end on their side moves to the
+    nearer point. The ends' signs differ, so the secant is always defined.
     """
-    h = 0.5 * precision
-    for _ in range(SECANT_ROUNDS):
-        if b - a <= precision:
-            break
-        x = min(max(a - ga * (b - a) / (gb - ga), a + h), b - h)
-        # (a + h) - h may round below a, which may be the range's end
-        left, right = max(x - h, a), min(x + h, b)
-        g_left, g_right = criteria._margins([state_at(left), state_at(right)], tol, criterion)
-        if (g_left > 0) != (g_right > 0):
-            return x
-        if (g_left > 0) == (ga > 0):
-            a, ga = right, g_right
-        else:
-            b, gb = left, g_left
+    h, rounds = 0.5 * precision, 0
     while b - a > precision:
-        mid = 0.5 * (a + b)
-        gm = criterion_margin(state_at(mid), criterion, tol)
-        if (gm > 0) == (ga > 0):
-            a, ga = mid, gm
+        rounds += 1
+        if rounds <= SECANT_ROUNDS:
+            x = min(max(a - ga * (b - a) / (gb - ga), a + h), b - h)
+            # (a + h) - h may round below a, which may be the range's end
+            points = [max(x - h, a), min(x + h, b)]
         else:
-            b = mid
+            x = 0.5 * (a + b)
+            points = [x]
+        gs = score(points)
+        if (gs[0] > 0) != (gs[-1] > 0):
+            return x
+        if (gs[0] > 0) == (ga > 0):
+            a, ga = points[-1], gs[-1]
+        else:
+            b, gb = points[0], gs[0]
     return 0.5 * (a + b)
 
 

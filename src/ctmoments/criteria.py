@@ -17,19 +17,19 @@ stacked SVD and one set of power sums per (weight, mode). thm2 runs one
 Lanczos recurrence per analysis, over the whole stack and every thm2 tensor
 named, each zero-padded to the canonical width. A report depends only on
 its state, tol and its own name, never on the stack it was scored in or on
-the other names. Every criterion is one entry of `_REGISTRY`, which fixes
-its name, its place in evaluate_all's order and whether it needs a
-bipartite state. An entry maps the analysis to columns over the stack,
-(quantity, bound, details), and `_columns` alone checks tol and the names.
-`_evaluate` turns the columns into reports, and `_margins` into the bare
-margins a threshold search follows; the public functions are thin wrappers
-over evaluate_all.
+the other names. Every criterion is one row of `_REGISTRY`, plain data
+that fixes its name, its place in evaluate_all's order, whether it needs a
+bipartite state, its test and its weight. `_columns` alone checks tol and
+the names and calls test(weight, analysis) for the columns over the stack,
+(quantity, bound, details). `_evaluate` turns the columns into reports, and
+`_margins` into the bare margins a threshold search follows; the public
+functions are thin wrappers over evaluate_all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from math import isfinite, prod, sqrt
 
@@ -109,7 +109,7 @@ class _Analysis:
     def __init__(self, dims: tuple[int, ...], mat: np.ndarray):
         self.dims = dims
         self.mat = mat
-        self.thm2: list = []  # the thm2 weights named, plain first; set by _columns
+        self.thm2: list = []  # the named thm2 rows' weights, in registry order; set by _columns
         self._extended: CorrelationTensor | None = None
         self._spectra: dict[tuple, tuple] = {}
         self._required: dict = {}
@@ -168,7 +168,7 @@ def moments_of_state(rho: DensityMatrix, canonical: bool, K: int | None = None) 
     return moment_vector(sigmas, d1 * d2 if K is None else K, a0)
 
 
-def _ppt(a: _Analysis):
+def _ppt(_, a: _Analysis):
     # the states are validated, and (rho^G) - (rho^G)^dag = (rho - rho^dag)^G
     # with max|rho^G| = max|rho|, so the partial transpose needs no check
     lam_min = np.linalg.eigvalsh(partial_transpose(a))[:, 0]
@@ -228,13 +228,13 @@ def _required_a1(s: np.ndarray, a1: np.ndarray, steps: int) -> np.ndarray:
 def _thm2(weight, a: _Analysis):
     """B_l stays PSD with the separable bound as a_1, for l = 1..(D-1)//2."""
     bound = _weighting(weight, a.dims)[2]
-    _, _, m2, m3 = a.spectrum(weight, 1)
+    m3 = a.spectrum(weight, 1)[3]
     required = a.required_a1(weight)
-    # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max: its
-    # sign is that of -(thm1 margin), computed from the same sums
-    m2_sq = m2 * m2
+    # lambda_min of B_1 = [[bound, m2], [m2, m3]] as det / lambda_max, where
+    # det is -(thm1 margin) from thm1's own sides
+    m2_sq, bound_m3 = _moment_sides(weight, a, 1)
     lam_max = 0.5 * (bound + m3) + np.sqrt(0.25 * (bound - m3) ** 2 + m2_sq)
-    b_min = (bound * m3 - m2_sq) / lam_max
+    b_min = (bound_m3 - m2_sq) / lam_max
     details = [
         {"substituted_a1": bound, "required_a1": req, "b_min_eigenvalues": [lam]}
         for req, lam in zip(required.tolist(), b_min.tolist())
@@ -259,20 +259,21 @@ def _thm3(weight, a: _Analysis):
     return [m["quantity"] for m in worst], [m["bound"] for m in worst], details
 
 
-# name -> (bipartite only, fn(analysis) -> (quantity, bound, details)), in
-# report order; the columns hold one quantity per state, one bound per state
-# or one shared, and one detail dict per state or None
+# name -> (bipartite only, test, weight) in report order, where test(weight,
+# analysis) -> (quantity, bound, details), one quantity per state, one bound
+# per state or one shared, one detail dict per state or None. Rows hold only
+# private functions and lambdas: a tracer rebinding public ones misses tuples
 _REGISTRY = {
-    "ppt": (True, _ppt),
-    "ccnr": (True, partial(_trace_norm_test, _REALIGNED)),
-    "dv": (False, partial(_trace_norm_test, _PLAIN)),
-    "li": (False, partial(_trace_norm_test, _CANONICAL)),
-    "thm1-plain": (True, partial(_thm1, _PLAIN)),
-    "thm1-canonical": (True, partial(_thm1, _CANONICAL)),
-    "thm2-plain": (True, partial(_thm2, _PLAIN)),
-    "thm2-canonical": (True, partial(_thm2, _CANONICAL)),
-    "thm3-plain": (False, partial(_thm3, _PLAIN)),
-    "thm3-canonical": (False, partial(_thm3, _CANONICAL)),
+    "ppt": (True, _ppt, None),
+    "ccnr": (True, _trace_norm_test, _REALIGNED),
+    "dv": (False, _trace_norm_test, _PLAIN),
+    "li": (False, _trace_norm_test, _CANONICAL),
+    "thm1-plain": (True, _thm1, _PLAIN),
+    "thm1-canonical": (True, _thm1, _CANONICAL),
+    "thm2-plain": (True, _thm2, _PLAIN),
+    "thm2-canonical": (True, _thm2, _CANONICAL),
+    "thm3-plain": (False, _thm3, _PLAIN),
+    "thm3-canonical": (False, _thm3, _CANONICAL),
 }
 
 
@@ -355,8 +356,8 @@ def _columns(rhos, tol, names) -> list[tuple]:
     """The named criteria's columns over one stacked analysis of the states
     rhos: (name, quantities, bounds, details) per name, quantities and
     bounds as Python floats (a shared bound repeats), details a dict or None
-    per state. The one place that stacks states, checks that they share dims
-    (else InvalidDimension) and checks tol and the names."""
+    per state. The one place that stacks states (they must share dims, else
+    InvalidDimension), checks tol and the names and calls test(weight, a)."""
     dims = rhos[0].dims
     others = {rho.dims for rho in rhos if rho.dims != dims}
     if others:
@@ -364,7 +365,7 @@ def _columns(rhos, tol, names) -> list[tuple]:
     if not (isfinite(tol) and tol >= 0):
         raise ParamOutOfRange(f"tol must be finite and >= 0, got {tol}")
     if names is None:
-        names = [name for name, (bipartite_only, _) in _REGISTRY.items()
+        names = [name for name, (bipartite_only, _, _) in _REGISTRY.items()
                  if len(dims) == 2 or not bipartite_only]
     if not names:
         raise UnknownCriterion("no criteria named")
@@ -375,10 +376,11 @@ def _columns(rhos, tol, names) -> list[tuple]:
     if bipartite and len(dims) != 2:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
     a = _Analysis(dims, np.array([rho.mat for rho in rhos]))
-    a.thm2 = [_REGISTRY[n][1].args[0] for n in ("thm2-plain", "thm2-canonical") if n in names]
+    a.thm2 = [w for n, (_, test, w) in _REGISTRY.items() if test is _thm2 and n in names]
     columns = []
     for name in names:
-        quantity, bound, details = _REGISTRY[name][1](a)
+        _, test, weight = _REGISTRY[name]
+        quantity, bound, details = test(weight, a)
         quantity = np.asarray(quantity, dtype=np.float64).tolist()
         bound = np.asarray(bound, dtype=np.float64).tolist()
         bounds = bound if isinstance(bound, list) else repeat(bound)

@@ -137,15 +137,13 @@ def random_pure_product(dims, rng: np.random.Generator) -> DensityMatrix:
     return pure_product([random_pure_state(d, rng) for d in dims])
 
 
-def random_separable(
-    dims, rng: np.random.Generator, max_terms: int = 10
-) -> DensityMatrix:
-    """Convex mixture of random pure products with Dirichlet-uniform weights.
+def random_separable(dims, rng: np.random.Generator) -> DensityMatrix:
+    """Convex mixture of 1 to 10 random pure products, Dirichlet-uniform weights.
 
     Only the mixture is validated: each term is the projector onto a unit
     product vector, with lambda_min 0 and no Hermiticity defect.
     """
-    m = int(rng.integers(1, max_terms + 1))
+    m = int(rng.integers(1, 11))
     weights = rng.dirichlet(np.ones(m))
     d = prod(dims)
     mat = np.zeros((d, d), dtype=np.complex128)

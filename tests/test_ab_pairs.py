@@ -1,5 +1,6 @@
 """tools/ab_pairs.py checks its --claim and --trace arguments against
-BENCHMARK.json before it exports or runs anything."""
+BENCHMARK.json before it exports or runs anything, and judges every
+end-to-end metric against its no-regression bound."""
 
 import importlib.util
 import sys
@@ -51,3 +52,36 @@ def test_good_claim_and_trace_reach_the_runs(ab_pairs, monkeypatch, tmp_path):
         "--claim", "threshold-sweep:ops_per_s", "--trace", "threshold-sweep:83"])
     with pytest.raises(AssertionError, match="exported or ran"):
         ab_pairs.main()
+
+
+HIGHER = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "latency_ms_p50", "better": "lower", "bound": 0.25}
+
+
+@pytest.mark.parametrize("metric, parent, change, worse_by, verdict", [
+    # a tight parent: the change's median decides
+    (HIGHER, [100, 101, 99, 100, 102], [70, 71, 69, 70, 72], 0.3, "past"),
+    (HIGHER, [100, 101, 99, 100, 102], [90, 91, 89, 90, 92], 0.1, "within"),
+    (HIGHER, [100, 101, 99, 100, 102], [120, 121, 119, 120, 122], -0.2, "within"),
+    (LOWER, [10, 10.1, 9.9, 10, 10.2], [13, 13.1, 12.9, 13, 13.2], 0.3, "past"),
+    (LOWER, [10, 10.1, 9.9, 10, 10.2], [11, 11.1, 10.9, 11, 11.2], 0.1, "within"),
+    # the parent's interquartile range (60 to 140) is 0.8 of its median
+    (HIGHER, [40, 60, 100, 140, 160], [95, 96, 97, 98, 99], 0.03, "unresolved"),
+    (HIGHER, [40, 60, 100, 140, 160], [161, 162, 163, 164, 165], -0.63, "within"),
+    (LOWER, [4, 6, 10, 14, 16], [3, 3.1, 3.2, 3.3, 3.4], -0.68, "within"),
+    (LOWER, [4, 6, 10, 14, 16], [9, 10, 11, 12, 13], 0.1, "unresolved"),
+    # past the bound stays past, however wide the parent's spread
+    (HIGHER, [40, 60, 100, 140, 160], [60, 65, 70, 75, 80], 0.3, "past"),
+])
+def test_regression_verdicts(ab_pairs, metric, parent, change, worse_by, verdict):
+    got = ab_pairs.regression(parent, change, metric)
+    assert got == {"bound": 0.25, "worse_by": pytest.approx(worse_by), "verdict": verdict}
+
+
+def test_summarize_writes_each_metrics_verdict(ab_pairs):
+    runs = [{"side": side, "ops_per_s": ops, "latency_ms_p50": 1000 / ops}
+            for k in range(4) for side, ops in (("parent", 100 + k), ("change", 60 + k))]
+    out = ab_pairs.summarize(runs, [HIGHER, LOWER])
+    assert (out["ops_per_s"]["verdict"], out["latency_ms_p50"]["verdict"]) == ("past", "past")
+    assert out["ops_per_s"]["worse_by"] == round((101.5 - 61.5) / 101.5, 4)
+    assert out["ops_per_s"]["change_better_pairs"] == 0

@@ -69,10 +69,10 @@ def test_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     state = str(tmp_path / "b.json")
     run(capsys, "generate", "--family", "bell", "-o", state)
 
-    def fail(analysis):
+    def fail(weight, analysis):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setitem(criteria._REGISTRY, "ccnr", (True, fail))
+    monkeypatch.setitem(criteria._REGISTRY, "ccnr", (True, fail, None))
     code, out, err = run(capsys, "analyze", state)
     assert code == 3 and out == "" and "did not converge" in err
 

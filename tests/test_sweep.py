@@ -178,24 +178,26 @@ def test_thm2_search_runs_one_recurrence_per_block_and_secant_pair(monkeypatch):
 def test_margin_step_falls_back_to_bisection(monkeypatch):
     # ppt's margin jumps from +0.25 to -0.25 inside the grid cell [0.42,
     # 0.43]: no secant pair straddles the jump, so the search bisects what
-    # its SECANT_ROUNDS pairs leave and still lands within precision / 2
+    # its SECANT_ROUNDS pairs leave, one state per step through the same
+    # criteria._margins call, and still lands within precision / 2
     step, precision = 0.4237, 1e-5
     entangled, separable = states.werner(2, -0.5), states.werner(2, 0.5)
-    scored, bisections = [], []
-    margin = criterion_margin
+    scored, sizes = [], []
+    margins = criteria._margins
 
-    def counted(*args):
-        bisections.append(args)
-        return margin(*args)
+    def counted(rhos, *args):
+        sizes.append(len(rhos))
+        return margins(rhos, *args)
 
     def state_at(x):
         scored.append(x)
         return entangled if x < step else separable
 
-    monkeypatch.setattr(cli, "criterion_margin", counted)
+    monkeypatch.setattr(criteria, "_margins", counted)
     crossings, brackets = find_threshold(state_at, "ppt", 0.0, 1.0, precision=precision)
     assert brackets == [(0.42, 0.43)] and len(crossings) == 1
     assert abs(crossings[0] - step) <= precision / 2
     grid = int(round(1 / COARSE_STEP)) + 1
-    assert bisections and len(scored) == grid + 2 * SECANT_ROUNDS + len(bisections)
+    bisections = sizes.count(1)
+    assert bisections and len(scored) == grid + 2 * SECANT_ROUNDS + bisections
     assert len(scored) <= grid + 2 * SECANT_ROUNDS + ceil(log2(COARSE_STEP / precision))

@@ -168,6 +168,26 @@ def test_both_thm2_tensors_share_one_recurrence(monkeypatch, n):
     assert calls == [(2 * n, 9)]
 
 
+def test_a_thm2_row_added_joins_the_one_recurrence(monkeypatch):
+    # thm2's rows are found by their test, not by their names: a third
+    # weight (the realigned one) shares the recurrence and leaves the plain
+    # report as it is alone
+    rho = random_density((3, 3), np.random.default_rng(3))
+    (alone,) = evaluate_all(rho, names=["thm2-plain"])
+    calls = []
+
+    def counted(s, a1, steps):
+        calls.append(s.shape)
+        return _required_a1(s, a1, steps)
+
+    monkeypatch.setattr(criteria, "_required_a1", counted)
+    monkeypatch.setitem(criteria._REGISTRY, "thm2-realigned",
+                        (True, criteria._thm2, criteria._REALIGNED))
+    plain, realigned = evaluate_all(rho, names=["thm2-plain", "thm2-realigned"])
+    assert calls == [(2, 9)]
+    assert plain == alone and realigned.name == "thm2-realigned"
+
+
 def _thm2_states(dims, n, rng):
     """n states of dims cycling through Ginibre, pure (rank 1), pure product
     and, for two parties of one dimension, werner: the last two break down

@@ -16,7 +16,9 @@ command, the method and one "workloads" block per workload: every run,
 the failed counts per side, and per end-to-end metric of BENCHMARK.json
 the medians and quartiles (inclusive method) of each side over the pairs
 plus change_better_pairs, the pairs the change won (ties count for
-neither side). --claim W:METRIC judges one claimed gain: met when the
+neither side). Each metric also gets its no-regression verdict (see
+`regression`), and one line per verdict is printed. --claim W:METRIC
+judges one claimed gain: met when the
 change wins at least 9 in 10 pairs and its median beats the parent's by
 more than the parent's interquartile range. --trace W:SEED adds one
 traced pair (run.py --trace 1, TRACE_SECONDS long) whose per-layer
@@ -75,21 +77,42 @@ def parse_seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def regression(parent: list[float], change: list[float], metric: dict) -> dict:
+    """The no-regression check of one end-to-end metric over the runs of each
+    side: its bound from BENCHMARK.json, worse_by (the change median's loss
+    relative to the parent median, negative when the change is better) and
+    the verdict: "past" when worse_by exceeds the bound; else "unresolved"
+    when the parent's interquartile range over its median exceeds the bound,
+    unless every change run beats every parent run; else "within"."""
+    sign, bound = 1 if metric["better"] == "higher" else -1, metric["bound"]
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    worse_by = sign * (median - statistics.median(change)) / median
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if worse_by > bound:
+        verdict = "past"
+    elif (q3 - q1) / median > bound and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    return {"bound": bound, "worse_by": round(worse_by, 4), "verdict": verdict}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Medians, quartiles and change_better_pairs of each metric over the pairs."""
+    """Medians, quartiles, change_better_pairs and the regression verdict of
+    each metric over the pairs."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = {side: [r[name] for r in by_side[side]] for side in SIDES}
         entry = {}
         for side in SIDES:
-            values = [r[name] for r in by_side[side]]
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             entry |= {f"{side}_median": round(median, 4), f"{side}_q1": round(q1, 4),
                       f"{side}_q3": round(q3, 4)}
         entry["change_better_pairs"] = sum(
             sign * (c[name] - p[name]) > 0 for p, c in zip(by_side["parent"], by_side["change"]))
-        out[name] = entry
+        out[name] = entry | regression(values["parent"], values["change"], metric)
     return out
 
 
@@ -168,6 +191,10 @@ def main() -> int:
                     "failed": result["failed"],
                     **{n: round(m["value"], 4) for n, m in result["metrics"].items()}}
 
+    for workload, block in blocks.items():
+        for name, m in block["metrics"].items():
+            print(f"{workload} {name}: {m['verdict']}, worse by {m['worse_by']:+.1%} "
+                  f"(bound {m['bound']:.0%})")
     report = {
         "environment": {k: environment[k] for k in ("python", "numpy", "scipy", "nproc", "blas")},
         "benchmark": {
