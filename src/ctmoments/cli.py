@@ -20,9 +20,6 @@ COARSE_STEP = 1e-2  # find_threshold's grid step before refinement
 SECANT_ROUNDS = 4  # secant pairs per bracket before find_threshold bisects
 _GRID_BLOCK = 64  # grid states per stacked analysis; bounds the memory it holds
 _MIN_PRECISION = 1e-8
-# criteria whose margin along a white-noise sweep crosses zero at
-# bound / quantity of the state at x = 1, since T(x) = x T(1)
-_HOMOGENEOUS_UNDER_NOISE = ("dv", "thm1-plain", "thm2-plain")
 
 
 def _seed() -> int:
@@ -159,23 +156,6 @@ def _refine(score, precision, a, b, ga, gb) -> float:
     return 0.5 * (a + b)
 
 
-def _closed_form(extreme, criterion, tol) -> float | None:
-    """The noise level s* at which s extreme + (1 - s) I/D crosses, where a
-    formula is known: bound / quantity of extreme, as the plain tensor scales
-    with s, or for ppt 1/(1 - D lambda_min(extreme^Gamma)), as (I/D)^Gamma =
-    I/D makes lambda_min affine in s. s* is the crossing at tol = 0; it is
-    returned only when the sweep crosses at tol, that is when extreme, the
-    sweep's state of largest margin, is flagged at tol, else None."""
-    if criterion not in (*_HOMOGENEOUS_UNDER_NOISE, "ppt"):
-        return None
-    (report,) = criteria.evaluate_all(extreme, tol, [criterion])
-    if not report.violated:
-        return None
-    if criterion == "ppt":  # the quantity is -lambda_min(extreme^Gamma)
-        return 1.0 / (1.0 + extreme.dim * report.quantity)
-    return report.bound / report.quantity
-
-
 def cmd_threshold(args) -> int:
     names, build = states.FAMILIES[args.family]
     if "x" in names:  # werner: its own parameter x, over [-1, 1], where
@@ -205,7 +185,7 @@ def cmd_threshold(args) -> int:
             f"{brackets}; no single threshold reported",
             file=sys.stderr,
         )
-    s_star = _closed_form(extreme, args.criterion, args.tol)
+    s_star = criteria._noise_crossing(extreme, args.criterion, args.tol)
     payload = {
         "family": args.family,
         "params": params,

@@ -106,10 +106,10 @@ class _Analysis:
     them acts on the whole stack at once.
     """
 
-    def __init__(self, dims: tuple[int, ...], mat: np.ndarray):
+    def __init__(self, dims: tuple[int, ...], mat: np.ndarray, thm2=()):
         self.dims = dims
         self.mat = mat
-        self.thm2: list = []  # the named thm2 rows' weights, in registry order; set by _columns
+        self.thm2 = thm2  # the named thm2 rows' weights, in registry order
         self._extended: CorrelationTensor | None = None
         self._spectra: dict[tuple, tuple] = {}
         self._required: dict = {}
@@ -375,8 +375,8 @@ def _columns(rhos, tol, names) -> list[tuple]:
     bipartite = [name for name in names if _REGISTRY[name][0]]
     if bipartite and len(dims) != 2:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
-    a = _Analysis(dims, np.array([rho.mat for rho in rhos]))
-    a.thm2 = [w for n, (_, test, w) in _REGISTRY.items() if test is _thm2 and n in names]
+    thm2 = [w for n, (_, test, w) in _REGISTRY.items() if test is _thm2 and n in names]
+    a = _Analysis(dims, np.array([rho.mat for rho in rhos]), thm2)
     columns = []
     for name in names:
         _, test, weight = _REGISTRY[name]
@@ -405,3 +405,23 @@ def _margins(rhos, tol, name) -> list[float]:
     criterion flags the state. Builds no report."""
     ((_, quantity, bounds, _),) = _columns(rhos, tol, [name])
     return [q - b - tol for q, b in zip(quantity, bounds)]
+
+
+def _noise_crossing(extreme, name, tol) -> float | None:
+    """The level s* at which s extreme + (1 - s) I/D crosses, where the named
+    row gives it: on T (weight _PLAIN) quantity and bound are homogeneous of
+    degrees k + 1 and k and T(s) = s T(1), so the margin changes sign at
+    bound / quantity of extreme (thm3's modes share a2 = ||T||_F^2, so its
+    worst mode crosses first); for ppt at 1/(1 + D quantity), as (I/D)^Gamma =
+    I/D makes lambda_min affine in s. s* is the crossing at tol = 0, returned
+    only when the sweep crosses at tol, that is when extreme, the sweep's state
+    of largest margin, is flagged at tol; else, and for other rows, None."""
+    _, test, weight = _REGISTRY[name]
+    if weight is not _PLAIN and test is not _ppt:
+        return None
+    (report,) = evaluate_all(extreme, tol, [name])
+    if not report.violated:
+        return None
+    if test is _ppt:  # the quantity is -lambda_min(extreme^Gamma)
+        return 1.0 / (1.0 + extreme.dim * report.quantity)
+    return report.bound / report.quantity

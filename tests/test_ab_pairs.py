@@ -1,8 +1,10 @@
 """tools/ab_pairs.py checks its --claim and --trace arguments against
-BENCHMARK.json before it exports or runs anything, and judges every
-end-to-end metric against its no-regression bound."""
+BENCHMARK.json before it exports or runs anything, judges every
+end-to-end metric against its no-regression bound, and exits 1 once it has
+written a "past" verdict."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -85,3 +87,30 @@ def test_summarize_writes_each_metrics_verdict(ab_pairs):
     assert (out["ops_per_s"]["verdict"], out["latency_ms_p50"]["verdict"]) == ("past", "past")
     assert out["ops_per_s"]["worse_by"] == round((101.5 - 61.5) / 101.5, 4)
     assert out["ops_per_s"]["change_better_pairs"] == 0
+
+
+@pytest.mark.parametrize("change_ops, code", [(100.0, 0), (60.0, 1)])
+def test_a_past_verdict_is_written_and_exits_1(ab_pairs, monkeypatch, tmp_path, change_ops,
+                                               code):
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        return rev * 40
+
+    def run(tree, workload, seed, seconds, trace):
+        ops = change_ops if tree.name == "change" else 100.0
+        env = {k: "x" for k in ("python", "numpy", "scipy", "nproc", "blas")}
+        metrics = {m: {"value": ops if m == "ops_per_s" else 1.0} for m in names}
+        return env, {"metrics": metrics, "failed": 0, "attempted": 10, "correct": True}
+
+    spec = json.loads((ab_pairs.REPO / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    monkeypatch.setattr(ab_pairs, "export", export)
+    monkeypatch.setattr(ab_pairs, "run", run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", "a", "b", "--seeds", "1-2",
+                                      "--out", str(out)])
+    assert ab_pairs.main() == code
+    report = json.loads(out.read_text())
+    verdicts = {w: b["metrics"]["ops_per_s"]["verdict"]
+                for w, b in report["benchmark"]["workloads"].items()}
+    assert set(verdicts.values()) == {"past" if code else "within"}

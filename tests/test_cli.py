@@ -135,6 +135,18 @@ def test_analyze_boolean_entry_exits_2(tmp_path, capsys):
     assert code == 2 and "JSON numbers" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ([{"version": 1}], "state file must be a JSON object"),
+    ({"version": 1, "dims": [2], "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+     "malformed matrix"),  # ragged: a second row of one pair
+])
+def test_analyze_non_object_or_ragged_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and message in err, err
+
+
 def test_generate_rejects_non_integer_seed(tmp_path, capsys, monkeypatch):
     for seed in ("abc", "-1"):
         monkeypatch.setenv("CTM_SEED", seed)
@@ -407,10 +419,24 @@ def test_threshold_bell_ppt_closed_form_is_exact(capsys):
     assert payload["closed_form"] == 1 / 3
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("--family", "ghz", "--n", "4"), 17 / 81),
+    (("--family", "w", "--n", "3"), 0.3177620651003837),
+    (("--family", "werner", "--d", "3"), -1 / 3),
+])
+def test_threshold_thm3_plain_closed_form(capsys, argv, want):
+    # every unfolding of T has a2 = ||T||_F^2, so thm3's worst mode is the
+    # first to cross and its bound / quantity is the sweep's crossing
+    payload = threshold_payload(capsys, *argv, "--criterion", "thm3-plain", "--tol", "0")
+    assert payload["closed_form"] == pytest.approx(want, abs=1e-15)
+    assert len(payload["crossings"]) == 1
+    assert abs(payload["threshold"] - want) <= payload["precision"] / 2
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4)])
 def test_ppt_closed_form_matches_bisection_on_ginibre_states(dims):
     base = states.random_density(dims, np.random.default_rng(1))
-    closed_form = cli._closed_form(base, "ppt", criteria.DEFAULT_TOL)
+    closed_form = criteria._noise_crossing(base, "ppt", criteria.DEFAULT_TOL)
     crossings, _ = find_threshold(lambda x: states.mix_white_noise(base, x), "ppt", 0.0, 1.0)
     assert closed_form is not None and len(crossings) == 1
     assert abs(crossings[0] - closed_form) <= 1e-5

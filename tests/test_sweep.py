@@ -143,9 +143,9 @@ def test_tiles_search_builds_one_analysis_per_block_and_secant_pair(monkeypatch)
     built = []
 
     class Counted(criteria._Analysis):
-        def __init__(self, dims, mat):
+        def __init__(self, dims, mat, thm2=()):
             built.append(len(mat))
-            super().__init__(dims, mat)
+            super().__init__(dims, mat, thm2)
 
     monkeypatch.setattr(criteria, "_Analysis", Counted)
     tiles = states.tiles_ppt()
@@ -201,3 +201,26 @@ def test_margin_step_falls_back_to_bisection(monkeypatch):
     bisections = sizes.count(1)
     assert bisections and len(scored) == grid + 2 * SECANT_ROUNDS + bisections
     assert len(scored) <= grid + 2 * SECANT_ROUNDS + ceil(log2(COARSE_STEP / precision))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)])
+def test_noise_crossing_follows_the_registry_row(dims):
+    # white noise scales T, T(s) = s T(1), and keeps lambda_min(rho^Gamma)
+    # affine in s: every row on T and ppt have the closed-form crossing of a
+    # tol = 0 search, and every other row has none, flagged or not
+    rng = np.random.default_rng(len(dims) * 10 + dims[-1])
+    precision = 1e-8
+    for _ in range(4):
+        psi = states.random_pure_state(int(np.prod(dims)), rng)
+        base = DensityMatrix(dims, np.outer(psi, psi.conj()))
+        for name, (bipartite_only, test, weight) in criteria._REGISTRY.items():
+            if bipartite_only and len(dims) != 2:
+                continue
+            closed_form = criteria._noise_crossing(base, name, 0.0)
+            if weight is not criteria._PLAIN and test is not criteria._ppt:
+                assert closed_form is None, name
+                continue
+            crossings, _ = find_threshold(lambda x: states.mix_white_noise(base, x), name,
+                                          0.0, 1.0, tol=0.0, precision=precision)
+            assert closed_form is not None and len(crossings) == 1, name
+            assert abs(crossings[0] - closed_form) <= precision / 2, (name, crossings)

@@ -17,10 +17,11 @@ the failed counts per side, and per end-to-end metric of BENCHMARK.json
 the medians and quartiles (inclusive method) of each side over the pairs
 plus change_better_pairs, the pairs the change won (ties count for
 neither side). Each metric also gets its no-regression verdict (see
-`regression`), and one line per verdict is printed. --claim W:METRIC
-judges one claimed gain: met when the
-change wins at least 9 in 10 pairs and its median beats the parent's by
-more than the parent's interquartile range. --trace W:SEED adds one
+`regression`), and one line per verdict is printed; the script exits 1,
+after it has written the output file, when any verdict is "past".
+--claim W:METRIC judges one claimed gain: met when the change wins at
+least 9 in 10 pairs and its median beats the parent's by more than the
+parent's interquartile range. --trace W:SEED adds one
 traced pair (run.py --trace 1, TRACE_SECONDS long) whose per-layer
 metrics go under "trace". A --claim or --trace that names a workload or
 metric BENCHMARK.json does not have stops the script before anything runs.
@@ -220,7 +221,8 @@ def main() -> int:
                        f"--seconds {TRACE_SECONDS} --trace 1",
             "runs": traces}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    verdicts = [m["verdict"] for block in blocks.values() for m in block["metrics"].values()]
+    return 1 if "past" in verdicts else 0
 
 
 if __name__ == "__main__":
