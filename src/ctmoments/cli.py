@@ -35,12 +35,9 @@ def _seed() -> int:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise CtmError(f"cannot parse dims {text!r}; expected e.g. '2,2'") from None
-    if not dims or any(d < 2 for d in dims):
-        raise CtmError(f"dims must all be >= 2, got {dims}")
-    return dims
 
 
 def _family_params(args, names) -> dict:

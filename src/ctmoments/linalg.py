@@ -1,14 +1,14 @@
 """Dense complex linear algebra kernel shared by the rest of the package.
 
 All functions operate on plain numpy arrays (complex128) and are pure:
-no argument is modified in place. The matrix functions act on the last
-two axes; validation runs its one float rule on each matrix of a stack.
+no argument is modified in place. Validation checks one matrix, in Python
+floats; the other matrix functions also act on the last two axes of a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, prod
+from math import isfinite, isqrt, prod
 from numbers import Integral
 
 import numpy as np
@@ -22,22 +22,18 @@ from .errors import NotNormalized, NotPositive
 HERMITICITY_RTOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
+_MAX_DIM = isqrt(np.iinfo(np.intp).max // 16)  # the largest D x D complex128 numpy indexes
 
 
-def _check_hermitian(m: np.ndarray, defect=None):
-    """Raise unless m is a square, finite, Hermitian matrix.
+def _check_hermitian(m: np.ndarray, defect=None) -> tuple[float, float]:
+    """Raise unless m is one square, finite, Hermitian matrix (2-D, not a stack).
 
     Returns the floats scale = max(1, max|M|) and defect = max|M - M^dag|; a
-    caller that knows the defect in closed form passes it. A stack (..., n, n)
-    runs each matrix through this rule, in order, and returns arrays of both.
+    caller that knows the defect in closed form passes it.
     """
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    if m.ndim > 2:
-        rows = [_check_hermitian(m[k]) for k in np.ndindex(m.shape[:-2])]
-        scale, defect = np.reshape(rows, (-1, 2)).T.reshape((2,) + m.shape[:-2])
-        return scale, defect
     # NaN or Inf if any entry is; the ufunc's own reduce skips max()'s wrappers
     peak = float(np.maximum.reduce(np.abs(m), axis=None, initial=0.0))
     if not isfinite(peak):
@@ -56,7 +52,7 @@ def _check_hermitian(m: np.ndarray, defect=None):
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     _check_hermitian(m)
-    return np.linalg.eigvalsh(m)[..., ::-1]
+    return np.linalg.eigvalsh(m)[::-1]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -70,22 +66,26 @@ def trace_norm(m: np.ndarray) -> float | np.ndarray:
 
 
 def is_psd(m: np.ndarray) -> bool:
-    """True iff the minimum eigenvalue is >= -PSD_ATOL * max(1, max|m|),
-    for every matrix of a stack."""
+    """True iff the minimum eigenvalue of the Hermitian matrix m is
+    >= -PSD_ATOL * max(1, max|m|)."""
     scale, _ = _check_hermitian(m)
-    return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * np.expand_dims(scale, -1)))
+    return bool(np.all(np.linalg.eigvalsh(m) >= -PSD_ATOL * scale))
 
 
 def _check_dims(dims) -> tuple[int, ...]:
     """dims as a tuple of ints, else InvalidDimension: a non-empty sequence,
-    each entry a Python or numpy integer >= 2 (not a float or a string)."""
+    each entry a Python or numpy integer >= 2 (not a float or a string),
+    whose product D is at most _MAX_DIM."""
     try:
         dims = tuple(dims)
     except TypeError:
         raise InvalidDimension(f"dims must be a sequence of integers, got {dims!r}") from None
     if not dims or not all(isinstance(d, Integral) and d >= 2 for d in dims):
         raise InvalidDimension(f"dims must be non-empty integers >= 2, got {dims!r}")
-    return tuple(int(d) for d in dims)
+    dims = tuple(int(d) for d in dims)
+    if prod(dims) > _MAX_DIM:
+        raise InvalidDimension(f"dims {dims} give D = {prod(dims)}; numpy indexes D <= {_MAX_DIM}")
+    return dims
 
 
 @dataclass(frozen=True, eq=False)

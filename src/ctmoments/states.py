@@ -39,6 +39,7 @@ def _identity(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _flip(d: int) -> np.ndarray:
     """The swap F|i j> = |j i> on C^d (x) C^d, read-only and kept for the process."""
+    _check_dims((d, d))  # before anything of size d^2 is built
     flip = _identity(d * d)[np.arange(d * d).reshape(d, d).T.ravel()]
     flip.flags.writeable = False
     return flip
@@ -49,7 +50,8 @@ def werner(d: int, x: float) -> DensityMatrix:
     d = _size("werner", "d", d)
     if not -1.0 <= x <= 1.0:
         raise ParamOutOfRange(f"werner parameter x must lie in [-1, 1], got {x}")
-    mat = ((d - x) * _identity(d * d) + (d * x - 1) * _flip(d)) / (d**3 - d)
+    flip = _flip(d)  # checks (d, d) once per d
+    mat = ((d - x) * _identity(d * d) + (d * x - 1) * flip) / (d**3 - d)
     # eigenvalues (1 + x)/(d(d + 1)) on the symmetric and (1 - x)/(d(d - 1))
     # on the antisymmetric subspace; mat is real and symmetric
     lam_min = min((1 + x) / (d * (d + 1)), (1 - x) / (d * (d - 1)))
@@ -107,9 +109,10 @@ def _uniform_projector(n: int, support) -> DensityMatrix:
     """Projector onto the equal superposition of the given n-qubit basis
     states: exactly 1/len(support) on the support block, not the square of
     a rounded 1/sqrt(len(support))."""
+    dims = _check_dims((2,) * n)
     mat = np.zeros((2**n, 2**n), dtype=np.complex128)
     mat[np.ix_(support, support)] = 1.0 / len(support)
-    return DensityMatrix((2,) * n, mat)
+    return DensityMatrix(dims, mat)
 
 
 def ghz(n: int = 3) -> DensityMatrix:
@@ -134,7 +137,7 @@ def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure_product(dims, rng: np.random.Generator) -> DensityMatrix:
-    return pure_product([random_pure_state(d, rng) for d in dims])
+    return pure_product([random_pure_state(d, rng) for d in _check_dims(dims)])
 
 
 def random_separable(dims, rng: np.random.Generator) -> DensityMatrix:

@@ -1,5 +1,5 @@
-"""tools/ab_pairs.py checks its --claim and --trace arguments against
-BENCHMARK.json before it exports or runs anything, judges every
+"""tools/ab_pairs.py checks --seeds, and --claim and --trace against
+BENCHMARK.json, before it exports or runs anything, judges every
 end-to-end metric against its no-regression bound, and exits 1 once it has
 written a "past" verdict."""
 
@@ -45,6 +45,18 @@ def test_bad_claim_or_trace_fails_before_any_run(ab_pairs, monkeypatch, tmp_path
         ab_pairs.main()
     assert exit_info.value.code == 2
     assert f"{flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["abc", "5-x", "-3", "3", "5-4"])
+def test_bad_seeds_fail_before_any_run(ab_pairs, monkeypatch, tmp_path, capsys, seeds):
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", "HEAD", "HEAD", f"--seeds={seeds}",
+                                      "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        ab_pairs.main()
+    assert exit_info.value.code == 2
+    assert f"--seeds {seeds}" in capsys.readouterr().err
     assert not out.exists()
 
 

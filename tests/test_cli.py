@@ -156,13 +156,28 @@ def test_generate_rejects_non_integer_seed(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("dims, message", [("2,x", "cannot parse dims"),
-                                            ("-1,2", "dims must all be >= 2")])
+                                            ("-1,2", "dims must be non-empty integers >= 2")])
 def test_generate_rejects_bad_dims(tmp_path, capsys, dims, message):
-    # --dims=... passes a leading minus through argparse; without the check,
-    # -1 would reach rng.normal(size=-1) as an untyped ValueError
+    # --dims=... passes a leading minus through argparse; random_pure_product
+    # checks dims first, so -1 never reaches rng.normal(size=-1)
     code, _, err = run(capsys, "generate", "--family", "pure-product",
                        f"--dims={dims}", "-o", str(tmp_path / "p.json"))
     assert code == 2 and err.startswith("error:") and message in err, err
+
+
+@pytest.mark.parametrize("family", [
+    ["ghz", "--n", "64"],
+    ["w", "--n", "40"],
+    ["werner", "--d", "4294967296", "--x", "0"],
+    ["maximally-mixed", "--dims", "4294967296,4294967296"],
+])
+def test_generate_rejects_sizes_numpy_cannot_index(tmp_path, capsys, family):
+    # each implies D >= 2^40, past the largest D x D complex128 matrix numpy
+    # indexes; the check comes before anything of that size is built
+    out = tmp_path / "big.json"
+    code, _, err = run(capsys, "generate", "--family", *family, "-o", str(out))
+    assert code == 2 and err.startswith("error:") and "numpy indexes" in err, err
+    assert not out.exists()
 
 
 def test_analyze_non_state_file(tmp_path, capsys):

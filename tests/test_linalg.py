@@ -18,7 +18,7 @@ from ctmoments import (
     trace_norm,
     werner,
 )
-from ctmoments.linalg import _check_hermitian
+from ctmoments.linalg import _MAX_DIM, _check_dims, _check_hermitian
 from ctmoments.states import random_density
 from ctmoments.errors import (
     InvalidDimension,
@@ -181,57 +181,65 @@ def test_maximally_mixed_rejects_non_integer_dims(dims):
         maximally_mixed(dims)
 
 
+def test_dims_hold_at_most_the_largest_matrix_numpy_indexes():
+    # numpy shapes a D x D complex128 view at D = _MAX_DIM and refuses one past it
+    z = np.zeros((), dtype=np.complex128)
+    assert np.broadcast_to(z, (_MAX_DIM, _MAX_DIM)).shape == (_MAX_DIM, _MAX_DIM)
+    with pytest.raises(ValueError):
+        np.broadcast_to(z, (_MAX_DIM + 1, _MAX_DIM + 1))
+    assert _check_dims((_MAX_DIM,)) == (_MAX_DIM,)
+    # numpy integers are multiplied as ints, so 2^32 * 2^32 does not wrap to 0
+    big = np.int64(2**32)
+    for dims in [(_MAX_DIM + 1,), (2**32, 2**32), (big, big), (2,) * 64]:
+        with pytest.raises(InvalidDimension, match="numpy indexes"):
+            _check_dims(dims)
+    for build in (maximally_mixed, partial(DensityMatrix, mat=np.eye(1))):
+        with pytest.raises(InvalidDimension, match="numpy indexes"):
+            build((big, big))
+
+
 def test_matrix_functions_act_on_stacks():
     rng = np.random.default_rng(13)
     rhos = [random_density((2, 3), rng) for _ in range(4)]
     stack = SimpleNamespace(dims=(2, 3), mat=np.stack([r.mat for r in rhos]))
     pts, realigned = partial_transpose(stack), realign(stack)
     assert pts.shape == (4, 6, 6) and realigned.shape == (4, 4, 9)
-    eigs, svs = hermitian_eigenvalues(pts), singular_values(realigned)
-    norms = trace_norm(realigned)
+    svs, norms = singular_values(realigned), trace_norm(realigned)
     for k, rho in enumerate(rhos):
         assert np.array_equal(pts[k], partial_transpose(rho))
         assert np.array_equal(realigned[k], realign(rho))
-        assert np.array_equal(eigs[k], hermitian_eigenvalues(pts[k]))
         assert np.array_equal(svs[k], singular_values(realigned[k]))
         assert norms[k] == trace_norm(realigned[k])
-    assert is_psd(pts[:, :4, :4] @ pts[:, :4, :4].conj().swapaxes(-1, -2))
-    assert is_psd(np.stack([np.eye(2), np.eye(2)]))
-    assert not is_psd(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
-    pts[2, 0, 1] += 1e-6  # one non-Hermitian member fails the whole stack
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(pts)
 
 
-def test_empty_stack_has_nothing_to_reject():
-    assert hermitian_eigenvalues(np.zeros((0, 2, 2))).shape == (0, 2)
-    assert is_psd(np.zeros((0, 2, 2)))
+@pytest.mark.parametrize("shape", [(2, 2, 2), (0, 2, 2), (3, 0, 0), (2,), ()])
+def test_validation_takes_one_matrix(shape):
+    # a stack, even an empty one, is not a square matrix
+    for check in (_check_hermitian, hermitian_eigenvalues, is_psd):
+        with pytest.raises(NonSquare, match="expected a square matrix"):
+            check(np.zeros(shape))
+
+
+def test_validation_returns_two_floats():
+    m = 3.0 * np.eye(4, dtype=complex)
+    m[2, 3] += 1e-13  # a defect inside the tolerance
+    scale, defect = _check_hermitian(m)
+    assert (type(scale), type(defect)) == (float, float)
+    assert scale == 3.0 and defect == abs(m[2, 3] - m[3, 2].conjugate())
+
+
+def test_empty_matrix_has_nothing_to_reject():
     assert hermitian_eigenvalues(np.zeros((0, 0))).shape == (0,)
-    assert hermitian_eigenvalues(np.zeros((3, 0, 0))).shape == (3, 0)
-    assert is_psd(np.zeros((0, 0))) and is_psd(np.zeros((3, 0, 0)))
+    assert is_psd(np.zeros((0, 0)))
 
 
-def test_stack_check_is_the_matrix_rule_per_member():
-    rng = np.random.default_rng(17)
-    g = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
-    stack = (g + g.conj().swapaxes(-1, -2)) * rng.uniform(0.1, 3.0, size=(2, 3, 1, 1))
-    stack[0, 1, 2, 3] += 1e-13  # a defect inside the tolerance
-    scale, defect = _check_hermitian(stack)
-    assert scale.shape == defect.shape == (2, 3)
-    for k in np.ndindex(2, 3):
-        one = _check_hermitian(stack[k])
-        assert all(type(v) is float for v in one)
-        assert (scale[k], defect[k]) == one
-    assert defect[0, 1] > 0.0
-
-
-def test_nan_or_inf_in_one_stack_member_is_not_hermitian():
+def test_nan_or_inf_is_not_hermitian():
     for bad in (np.nan, np.inf):
-        stack = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
-        stack[1, 0, 1] = bad
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
         for check in (_check_hermitian, hermitian_eigenvalues, is_psd):
             with pytest.raises(NotHermitian, match="NaN or Inf"):
-                check(stack)
+                check(m)
 
 
 def test_not_hermitian_message():
@@ -240,11 +248,10 @@ def test_not_hermitian_message():
     assert str(err.value) == (
         "matrix is not Hermitian: max|M - M^dag| = 1.000e+00 exceeds 1.0e-12 * 1.000e+00"
     )
-    stack = np.stack([np.eye(2), 4.0 * np.eye(2), 4.0 * np.eye(2)])
-    stack[1, 0, 1] = 2e-11  # the first offending member is the one reported
-    stack[2, 0, 1] = 1.0
+    m = 4.0 * np.eye(2)
+    m[0, 1] = 2e-11  # the scale is max|M|
     with pytest.raises(NotHermitian) as err:
-        is_psd(stack)
+        is_psd(m)
     assert str(err.value) == (
         "matrix is not Hermitian: max|M - M^dag| = 2.000e-11 exceeds 1.0e-12 * 4.000e+00"
     )

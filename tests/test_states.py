@@ -17,7 +17,8 @@ from ctmoments import (
     w_state,
     werner,
 )
-from ctmoments.errors import NotHermitian, NotNormalized, NotPositive, ParamOutOfRange
+from ctmoments.errors import InvalidDimension, NotHermitian, NotNormalized, NotPositive
+from ctmoments.errors import ParamOutOfRange
 from ctmoments import states
 from ctmoments.linalg import _derived_state
 from ctmoments.states import (
@@ -274,3 +275,25 @@ def test_sizes_must_be_integers():
         assert ghz(size).mat.tobytes() == ghz(3).mat.tobytes()
         assert w_state(size).mat.tobytes() == w_state(3).mat.tobytes()
         assert type(werner(size, 0.4).dims[0]) is int
+
+
+def test_random_pure_product_checks_dims_before_drawing():
+    class NoDraws:
+        def normal(self, size=None):
+            raise AssertionError("random_pure_product drew a vector")
+
+    # 2^32 x 2^32 would draw two vectors of 2^32 entries before any check
+    for dims in [(2**32, 2**32), (-1, 2), ()]:
+        with pytest.raises(InvalidDimension):
+            random_pure_product(dims, NoDraws())
+
+
+def test_werner_checks_its_size_once_per_d(monkeypatch):
+    with pytest.raises(InvalidDimension, match="numpy indexes"):
+        werner(2**32, 0.0)
+    calls = []
+    monkeypatch.setattr(states, "_check_dims", lambda dims: calls.append(dims) or dims)
+    states._flip.cache_clear()
+    for x in np.linspace(-1.0, 1.0, 9):
+        werner(3, x)
+    assert calls == [(3, 3)]

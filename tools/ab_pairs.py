@@ -141,7 +141,10 @@ def main() -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain")
     parser.add_argument("--trace", action="append", default=[], help="WORKLOAD:SEED")
     args = parser.parse_args()
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError:
+        parser.error(f"--seeds {args.seeds}: expected A-B, integers with A < B")
     if len(seeds) < 2:  # the quartiles need two pairs
         parser.error(f"--seeds {args.seeds}: need at least 2 seeds, got {len(seeds)}")
 
