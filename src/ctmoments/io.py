@@ -3,7 +3,8 @@
 StateFile schema (version 1):
     {"version": 1, "dims": [d1, ...], "matrix": [[[re, im], ...], ...],
      "meta": {...}}            # meta is optional
-with D rows of D [re, im] pairs, row-major, subsystem 1 most significant.
+with D = prod(dims) rows of D [re, im] pairs, row-major, subsystem 1 most
+significant. This format is checked here; dims, D and the state rules by DensityMatrix.
 Floats are serialized with Python's shortest round-trip repr, so a
 generate -> load -> save cycle is bit-for-bit stable.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from math import prod
 
 import numpy as np
 
@@ -42,27 +42,21 @@ def state_from_dict(data: dict) -> tuple[DensityMatrix, dict | None]:
     version = data.get("version")
     if isinstance(version, bool) or version != STATE_FILE_VERSION:  # True == 1
         raise StateFileError(f"unsupported state file version {version!r}")
-    dims = data.get("dims")
     matrix = data.get("matrix")
-    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise StateFileError("dims must be a list of integers")
-    d = prod(dims)
     try:
         arr = np.asarray(matrix)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"malformed matrix: {exc}") from None
     if arr.dtype.kind not in "iuf":  # str, null or object entries, or all bool
         raise StateFileError(f"matrix entries must be JSON numbers, got {arr.dtype}")
-    if arr.shape != (d, d, 2):
-        raise StateFileError(
-            f"matrix must be {d} rows of {d} [re, im] pairs, got shape {arr.shape}"
-        )
+    if not (arr.ndim == 3 and arr.shape[-1] == 2):
+        raise StateFileError(f"matrix must be rows of [re, im] pairs, got shape {arr.shape}")
     # np.asarray casts true and false among numbers to 1 and 0
     if bool in set(map(type, chain.from_iterable(chain.from_iterable(matrix)))):
         raise StateFileError("matrix entries must be JSON numbers, got true or false")
     mat = arr[..., 0] + 1j * arr[..., 1]
     try:
-        rho = DensityMatrix(tuple(dims), mat)
+        rho = DensityMatrix(data.get("dims"), mat)
     except ValueError as exc:
         raise StateFileError(str(exc)) from None
     return rho, data.get("meta")

@@ -7,8 +7,9 @@ floats; the other matrix functions also act on the last two axes of a stack.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from math import isfinite, isqrt, prod
+from math import inf, isfinite, isqrt, prod
 from numbers import Integral
 
 import numpy as np
@@ -23,6 +24,8 @@ HERMITICITY_RTOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
 _MAX_DIM = isqrt(np.iinfo(np.intp).max // 16)  # the largest D x D complex128 numpy indexes
+_PAGES = ("SC_PHYS_PAGES", "SC_PAGE_SIZE")  # physical memory in bytes, not a cgroup limit
+_MEMORY = prod(map(os.sysconf, _PAGES)) if {*_PAGES} <= {*getattr(os, "sysconf_names", ())} else inf
 
 
 def _check_hermitian(m: np.ndarray, defect=None) -> tuple[float, float]:
@@ -75,7 +78,7 @@ def is_psd(m: np.ndarray) -> bool:
 def _check_dims(dims) -> tuple[int, ...]:
     """dims as a tuple of ints, else InvalidDimension: a non-empty sequence,
     each entry a Python or numpy integer >= 2 (not a float or a string),
-    whose product D is at most _MAX_DIM."""
+    whose product D is at most _MAX_DIM and 16 D^2 bytes at most _MEMORY."""
     try:
         dims = tuple(dims)
     except TypeError:
@@ -83,8 +86,11 @@ def _check_dims(dims) -> tuple[int, ...]:
     if not dims or not all(isinstance(d, Integral) and d >= 2 for d in dims):
         raise InvalidDimension(f"dims must be non-empty integers >= 2, got {dims!r}")
     dims = tuple(int(d) for d in dims)
-    if prod(dims) > _MAX_DIM:
-        raise InvalidDimension(f"dims {dims} give D = {prod(dims)}; numpy indexes D <= {_MAX_DIM}")
+    dim = prod(dims)
+    if dim > _MAX_DIM:
+        raise InvalidDimension(f"dims {dims} give D = {dim}; numpy indexes D <= {_MAX_DIM}")
+    if 16 * dim * dim > _MEMORY:
+        raise InvalidDimension(f"dims {dims} need {16 * dim * dim} bytes; memory holds {_MEMORY}")
     return dims
 
 

@@ -146,22 +146,23 @@ def random_separable(dims, rng: np.random.Generator) -> DensityMatrix:
     Only the mixture is validated: each term is the projector onto a unit
     product vector, with lambda_min 0 and no Hermiticity defect.
     """
-    m = int(rng.integers(1, 11))
-    weights = rng.dirichlet(np.ones(m))
+    dims = _check_dims(dims)  # before the rng draws or anything of size D^2
+    weights = rng.dirichlet(np.ones(rng.integers(1, 11)))  # 1 to 10 terms
     d = prod(dims)
     mat = np.zeros((d, d), dtype=np.complex128)
     for w in weights:
         mat += w * _pure_product_matrix([random_pure_state(k, rng) for k in dims])
-    return DensityMatrix(tuple(dims), mat)
+    return DensityMatrix(dims, mat)
 
 
 def random_density(dims, rng: np.random.Generator) -> DensityMatrix:
     """Ginibre-induced random density matrix on the full space."""
+    dims = _check_dims(dims)  # before the rng draws anything of size D^2
     d = prod(dims)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
-    return DensityMatrix(tuple(dims), mat)
+    return DensityMatrix(dims, mat)
 
 
 # name -> (parameter names, constructor taking them by keyword), the named

@@ -126,3 +126,24 @@ def test_a_past_verdict_is_written_and_exits_1(ab_pairs, monkeypatch, tmp_path, 
     verdicts = {w: b["metrics"]["ops_per_s"]["verdict"]
                 for w, b in report["benchmark"]["workloads"].items()}
     assert set(verdicts.values()) == {"past" if code else "within"}
+
+
+PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # interquartile range 4.5
+
+
+@pytest.mark.parametrize("metric, parent, change, wins, verdict", [
+    # the change wins 9 of 10 pairs by a median gain of 10
+    (HIGHER, PARENT, [99] + [p + 10 for p in PARENT[1:]], 9, "met"),
+    (HIGHER, PARENT, [99, 100] + [p + 10 for p in PARENT[2:]], 8, "not met"),
+    # 10 of 10 pairs, but a gain of 1 is inside the parent's spread
+    (HIGHER, PARENT, [p + 1 for p in PARENT], 10, "not met"),
+    (LOWER, PARENT, [p - 5 for p in PARENT], 10, "met"),
+    (LOWER, PARENT, [p + 5 for p in PARENT], 0, "not met"),
+])
+def test_judge_a_claimed_gain(ab_pairs, metric, parent, change, wins, verdict):
+    name = metric["name"]
+    runs = [{"side": side, name: value}
+            for pair in zip(parent, change) for side, value in zip(ab_pairs.SIDES, pair)]
+    block = {"pairs": len(parent), "metrics": ab_pairs.summarize(runs, [metric])}
+    got = ab_pairs.judge(block, metric)
+    assert got.startswith(f"{verdict}:") and f"better in {wins} of 10 pairs" in got, got

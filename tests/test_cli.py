@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctmoments import _kernels, cli, criteria, io, moments_of_state, states
+from ctmoments import _kernels, cli, criteria, io, linalg, moments_of_state, states
 from ctmoments.cli import COARSE_STEP, find_threshold, main
 from ctmoments.errors import ParamOutOfRange
 
@@ -177,6 +177,15 @@ def test_generate_rejects_sizes_numpy_cannot_index(tmp_path, capsys, family):
     out = tmp_path / "big.json"
     code, _, err = run(capsys, "generate", "--family", *family, "-o", str(out))
     assert code == 2 and err.startswith("error:") and "numpy indexes" in err, err
+    assert not out.exists()
+
+
+def test_generate_rejects_sizes_memory_cannot_hold(tmp_path, capsys, monkeypatch):
+    # ghz(12) is a 256 MiB matrix: refused under a 64 MiB bound before it is built
+    monkeypatch.setattr(linalg, "_MEMORY", 64 * 2**20)
+    out = tmp_path / "big.json"
+    code, _, err = run(capsys, "generate", "--family", "ghz", "--n", "12", "-o", str(out))
+    assert code == 2 and err.startswith("error:") and "memory holds" in err, err
     assert not out.exists()
 
 
@@ -397,7 +406,7 @@ def test_threshold_payload_werner_closed_forms(capsys, d):
         payload = threshold_payload(capsys, "--family", "werner", "--d", str(d),
                                     "--criterion", criterion)
         assert payload["closed_form"] == pytest.approx(want, abs=1e-15), criterion
-        # at the default tol thm1-plain's search lands 1.46e-5 from -0.6 at d = 5,
+        # at the default tol thm1-plain's search lands 1.73e-5 from -0.6 at d = 5,
         # as tol acts on its fourth-order margin, so only the others are pinned
         if criterion != "thm1-plain":
             assert len(payload["crossings"]) == 1, criterion

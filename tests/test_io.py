@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ def test_rejects_boolean_version_and_dims():
     data = state_to_dict(bell())
     data["dims"] = [True, 2]
     with pytest.raises(StateFileError, match="dims must be"):
+        state_from_dict(data)
+
+
+@pytest.mark.parametrize("dims, message", [
+    ("2,2", "dims must be non-empty integers >= 2, got ('2', ',', '2')"),
+    (None, "dims must be a sequence of integers, got None"),
+    ([2, 3], "matrix shape (4, 4) does not match dims (2, 3) (D = 6)"),
+])
+def test_dims_get_the_density_matrix_wording(dims, message):
+    # the file's format is sound; DensityMatrix alone checks dims against the matrix
+    data = state_to_dict(bell())
+    data["dims"] = dims
+    with pytest.raises(StateFileError, match=re.escape(message)):
         state_from_dict(data)
 
 

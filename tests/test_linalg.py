@@ -18,6 +18,7 @@ from ctmoments import (
     trace_norm,
     werner,
 )
+from ctmoments import linalg
 from ctmoments.linalg import _MAX_DIM, _check_dims, _check_hermitian
 from ctmoments.states import random_density
 from ctmoments.errors import (
@@ -181,12 +182,14 @@ def test_maximally_mixed_rejects_non_integer_dims(dims):
         maximally_mixed(dims)
 
 
-def test_dims_hold_at_most_the_largest_matrix_numpy_indexes():
+def test_dims_hold_at_most_the_largest_matrix_numpy_indexes(monkeypatch):
     # numpy shapes a D x D complex128 view at D = _MAX_DIM and refuses one past it
     z = np.zeros((), dtype=np.complex128)
     assert np.broadcast_to(z, (_MAX_DIM, _MAX_DIM)).shape == (_MAX_DIM, _MAX_DIM)
     with pytest.raises(ValueError):
         np.broadcast_to(z, (_MAX_DIM + 1, _MAX_DIM + 1))
+    # no machine holds that matrix, so its acceptance is checked without the memory bound
+    monkeypatch.setattr(linalg, "_MEMORY", float("inf"))
     assert _check_dims((_MAX_DIM,)) == (_MAX_DIM,)
     # numpy integers are multiplied as ints, so 2^32 * 2^32 does not wrap to 0
     big = np.int64(2**32)
@@ -196,6 +199,20 @@ def test_dims_hold_at_most_the_largest_matrix_numpy_indexes():
     for build in (maximally_mixed, partial(DensityMatrix, mat=np.eye(1))):
         with pytest.raises(InvalidDimension, match="numpy indexes"):
             build((big, big))
+
+
+def test_dims_hold_at_most_the_matrix_memory_holds(monkeypatch):
+    monkeypatch.setattr(linalg, "_MEMORY", 64 * 2**20)
+    assert _check_dims((2048,)) == (2048,)  # 16 * 2048^2 bytes is exactly 64 MiB
+    for dims in [(2049,), (64, 64)]:
+        with pytest.raises(InvalidDimension, match="memory holds 67108864"):
+            _check_dims(dims)
+    # the check comes before the 256 MiB identity is built
+    with pytest.raises(InvalidDimension, match="memory holds"):
+        maximally_mixed((4096,))
+    # a size numpy cannot index keeps its own message
+    with pytest.raises(InvalidDimension, match="numpy indexes"):
+        _check_dims((2**32, 2**32))
 
 
 def test_matrix_functions_act_on_stacks():

@@ -288,6 +288,18 @@ def test_random_pure_product_checks_dims_before_drawing():
             random_pure_product(dims, NoDraws())
 
 
+@pytest.mark.parametrize("helper", [random_density, random_separable])
+@pytest.mark.parametrize("dims", [(2.5, 2), "22", (2**32, 2**32)])
+def test_random_helpers_check_dims_before_drawing(helper, dims):
+    class NoRng:
+        def __getattr__(self, name):
+            raise AssertionError(f"{helper.__name__} used rng.{name} before checking dims")
+
+    # a float or a string is refused, and 2^32 x 2^32 is never drawn
+    with pytest.raises(InvalidDimension):
+        helper(dims, NoRng())
+
+
 def test_werner_checks_its_size_once_per_d(monkeypatch):
     with pytest.raises(InvalidDimension, match="numpy indexes"):
         werner(2**32, 0.0)
