@@ -24,7 +24,7 @@ HERMITICITY_RTOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
 _MAX_DIM = isqrt(np.iinfo(np.intp).max // 16)  # the largest D x D complex128 numpy indexes
-_PAGES = ("SC_PHYS_PAGES", "SC_PAGE_SIZE")  # physical memory in bytes, not a cgroup limit
+_PAGES = ("SC_PHYS_PAGES", "SC_PAGE_SIZE")  # their product is physical memory, not a cgroup limit
 _MEMORY = prod(map(os.sysconf, _PAGES)) if {*_PAGES} <= {*getattr(os, "sysconf_names", ())} else inf
 
 
