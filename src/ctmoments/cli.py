@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     except (CtmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

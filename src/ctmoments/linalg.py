@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import inf, isfinite, isqrt, prod
+from math import inf, isfinite, prod
 from numbers import Integral
 
 import numpy as np
@@ -23,9 +23,9 @@ from .errors import NotNormalized, NotPositive
 HERMITICITY_RTOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
-_MAX_DIM = isqrt(np.iinfo(np.intp).max // 16)  # the largest D x D complex128 numpy indexes
 _PAGES = ("SC_PHYS_PAGES", "SC_PAGE_SIZE")  # their product is physical memory, not a cgroup limit
-_MEMORY = prod(map(os.sysconf, _PAGES)) if {*_PAGES} <= {*getattr(os, "sysconf_names", ())} else inf
+_MAX_BYTES = min(np.iinfo(np.intp).max, prod(map(os.sysconf, _PAGES))  # what numpy and memory hold
+                 if {*_PAGES} <= {*getattr(os, "sysconf_names", ())} else inf)
 
 
 def _check_hermitian(m: np.ndarray, defect=None) -> tuple[float, float]:
@@ -78,7 +78,7 @@ def is_psd(m: np.ndarray) -> bool:
 def _check_dims(dims) -> tuple[int, ...]:
     """dims as a tuple of ints, else InvalidDimension: a non-empty sequence,
     each entry a Python or numpy integer >= 2 (not a float or a string),
-    whose product D is at most _MAX_DIM and 16 D^2 bytes at most _MEMORY."""
+    whose product D sizes the D x D complex128 matrix at 16 D^2 <= _MAX_BYTES."""
     try:
         dims = tuple(dims)
     except TypeError:
@@ -87,10 +87,8 @@ def _check_dims(dims) -> tuple[int, ...]:
         raise InvalidDimension(f"dims must be non-empty integers >= 2, got {dims!r}")
     dims = tuple(int(d) for d in dims)
     dim = prod(dims)
-    if dim > _MAX_DIM:
-        raise InvalidDimension(f"dims {dims} give D = {dim}; numpy indexes D <= {_MAX_DIM}")
-    if 16 * dim * dim > _MEMORY:
-        raise InvalidDimension(f"dims {dims} need {16 * dim * dim} bytes; memory holds {_MEMORY}")
+    if 16 * dim * dim > _MAX_BYTES:
+        raise InvalidDimension(f"dims {dims} need {16 * dim * dim} bytes; at most {_MAX_BYTES} fit")
     return dims
 
 
@@ -112,13 +110,13 @@ class DensityMatrix:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        m = np.ascontiguousarray(np.asarray(self.mat, dtype=np.complex128))
-        object.__setattr__(self, "mat", m)
-        dim = prod(dims)
+        try:  # a ragged list or a string has no shape to match
+            object.__setattr__(self, "mat", np.ascontiguousarray(self.mat, dtype=np.complex128))
+        except (TypeError, ValueError) as exc:
+            raise NonSquare(f"matrix is not an array of numbers: {exc}") from None
+        m, dim = self.mat, prod(dims)
         if m.shape != (dim, dim):
-            raise NonSquare(
-                f"matrix shape {m.shape} does not match dims {dims} (D = {dim})"
-            )
+            raise NonSquare(f"matrix shape {m.shape} does not match dims {dims} (D = {dim})")
         self._apply_rules()
 
     def _apply_rules(self, defect=None, lam_min=None) -> None:

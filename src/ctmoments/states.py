@@ -99,10 +99,12 @@ def _pure_product_matrix(vectors) -> np.ndarray:
 
 
 def pure_product(vectors) -> DensityMatrix:
-    """Projector onto the tensor product of the given vectors; DensityMatrix's
+    """Projector onto the tensor product of the given vectors. Their lengths
+    are the dims, checked before the D x D projector is built; DensityMatrix's
     trace rule checks that the product has unit norm."""
     vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    return DensityMatrix(tuple(map(len, vectors)), _pure_product_matrix(vectors))
+    dims = _check_dims(tuple(map(len, vectors)))
+    return DensityMatrix(dims, _pure_product_matrix(vectors))
 
 
 def _uniform_projector(n: int, support) -> DensityMatrix:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,25 @@ def test_generate_and_analyze_bell(tmp_path, capsys):
     assert abs(by_name["ppt"]["quantity"] - 0.5) < 1e-9
     assert by_name["ccnr"]["violated"]
     assert payload["state_descriptor"]["dims"] == [2, 2]
+
+
+def test_module_entry_point_exits_with_the_code_main_returns(tmp_path, capsys):
+    # `python -m ctmoments.cli` runs sys.exit(main()), as the console script does
+    path = tmp_path / "bell.json"
+    assert run(capsys, "generate", "--family", "bell", "-o", str(path))[0] == 0
+    src = str(Path(cli.__file__).resolve().parents[1])  # absolute: the child imports this code
+    paths = [src, os.getenv("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def analyze(file):
+        command = [sys.executable, "-m", "ctmoments.cli", "analyze", str(file)]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    done = analyze(path)
+    assert done.returncode == 0 and json.loads(done.stdout)["any_violated"], done.stderr
+    done = analyze(tmp_path / "missing.json")
+    assert done.returncode == 2 and not done.stdout, done.stderr
+    assert done.stderr.startswith("error:"), done.stderr
 
 
 def test_analyze_criteria_subset_and_output_file(tmp_path, capsys):
@@ -165,27 +187,22 @@ def test_generate_rejects_bad_dims(tmp_path, capsys, dims, message):
     assert code == 2 and err.startswith("error:") and message in err, err
 
 
-@pytest.mark.parametrize("family", [
-    ["ghz", "--n", "64"],
-    ["w", "--n", "40"],
-    ["werner", "--d", "4294967296", "--x", "0"],
-    ["maximally-mixed", "--dims", "4294967296,4294967296"],
+@pytest.mark.parametrize("family, limit", [
+    (["ghz", "--n", "64"], None),
+    (["w", "--n", "40"], None),
+    (["werner", "--d", "4294967296", "--x", "0"], None),
+    (["maximally-mixed", "--dims", "4294967296,4294967296"], None),
+    (["ghz", "--n", "12"], 64 * 2**20),
 ])
-def test_generate_rejects_sizes_numpy_cannot_index(tmp_path, capsys, family):
-    # each implies D >= 2^40, past the largest D x D complex128 matrix numpy
-    # indexes; the check comes before anything of that size is built
+def test_generate_rejects_oversize_states(tmp_path, capsys, monkeypatch, family, limit):
+    # the first four imply D >= 2^40, past the largest D x D complex128 matrix
+    # numpy indexes; ghz(12) is a 256 MiB matrix, past a 64 MiB limit. The
+    # check comes before anything of that size is built
+    if limit is not None:
+        monkeypatch.setattr(linalg, "_MAX_BYTES", limit)
     out = tmp_path / "big.json"
     code, _, err = run(capsys, "generate", "--family", *family, "-o", str(out))
-    assert code == 2 and err.startswith("error:") and "numpy indexes" in err, err
-    assert not out.exists()
-
-
-def test_generate_rejects_sizes_memory_cannot_hold(tmp_path, capsys, monkeypatch):
-    # ghz(12) is a 256 MiB matrix: refused under a 64 MiB bound before it is built
-    monkeypatch.setattr(linalg, "_MEMORY", 64 * 2**20)
-    out = tmp_path / "big.json"
-    code, _, err = run(capsys, "generate", "--family", "ghz", "--n", "12", "-o", str(out))
-    assert code == 2 and err.startswith("error:") and "memory holds" in err, err
+    assert code == 2 and err.startswith("error:") and "bytes; at most" in err, err
     assert not out.exists()
 
 

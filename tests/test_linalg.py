@@ -1,4 +1,5 @@
 from functools import partial
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from ctmoments import (
     werner,
 )
 from ctmoments import linalg
-from ctmoments.linalg import _MAX_DIM, _check_dims, _check_hermitian
+from ctmoments.linalg import _check_dims, _check_hermitian
 from ctmoments.states import random_density
 from ctmoments.errors import (
     InvalidDimension,
@@ -153,6 +154,13 @@ def test_density_matrix_validation():
             DensityMatrix(dims, np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("mat", [[[1, 0], [0]], "abc", {"a": 1}])
+def test_density_matrix_rejects_a_matrix_that_is_not_numbers(mat):
+    # numpy raises a bare ValueError (ragged, a string) or TypeError (a dict) on these
+    with pytest.raises(NonSquare, match="not an array of numbers"):
+        DensityMatrix((2, 2), mat)
+
+
 @pytest.mark.parametrize("dims", [(2.7, 2), ("3", 3), (3.0, 3), (np.float64(2.0), 2), (2, None),
                                   4, None])
 def test_density_matrix_rejects_non_integer_dims(dims):
@@ -182,37 +190,34 @@ def test_maximally_mixed_rejects_non_integer_dims(dims):
         maximally_mixed(dims)
 
 
-def test_dims_hold_at_most_the_largest_matrix_numpy_indexes(monkeypatch):
-    # numpy shapes a D x D complex128 view at D = _MAX_DIM and refuses one past it
+def test_dims_hold_at_most_a_matrix_of_max_bytes(monkeypatch):
+    # numpy shapes a D x D complex128 view at D = isqrt(intp.max // 16) and refuses one past it
+    intp_max = np.iinfo(np.intp).max
+    top = isqrt(intp_max // 16)
     z = np.zeros((), dtype=np.complex128)
-    assert np.broadcast_to(z, (_MAX_DIM, _MAX_DIM)).shape == (_MAX_DIM, _MAX_DIM)
+    assert np.broadcast_to(z, (top, top)).shape == (top, top)
     with pytest.raises(ValueError):
-        np.broadcast_to(z, (_MAX_DIM + 1, _MAX_DIM + 1))
-    # no machine holds that matrix, so its acceptance is checked without the memory bound
-    monkeypatch.setattr(linalg, "_MEMORY", float("inf"))
-    assert _check_dims((_MAX_DIM,)) == (_MAX_DIM,)
+        np.broadcast_to(z, (top + 1, top + 1))
+    # no machine holds that matrix, so its acceptance is checked under numpy's limit alone
+    monkeypatch.setattr(linalg, "_MAX_BYTES", intp_max)
+    assert _check_dims((top,)) == (top,)
     # numpy integers are multiplied as ints, so 2^32 * 2^32 does not wrap to 0
     big = np.int64(2**32)
-    for dims in [(_MAX_DIM + 1,), (2**32, 2**32), (big, big), (2,) * 64]:
-        with pytest.raises(InvalidDimension, match="numpy indexes"):
+    for dims in [(top + 1,), (2**32, 2**32), (big, big), (2,) * 64]:
+        with pytest.raises(InvalidDimension, match=f"at most {intp_max} fit"):
             _check_dims(dims)
     for build in (maximally_mixed, partial(DensityMatrix, mat=np.eye(1))):
-        with pytest.raises(InvalidDimension, match="numpy indexes"):
+        with pytest.raises(InvalidDimension, match=f"at most {intp_max} fit"):
             build((big, big))
-
-
-def test_dims_hold_at_most_the_matrix_memory_holds(monkeypatch):
-    monkeypatch.setattr(linalg, "_MEMORY", 64 * 2**20)
-    assert _check_dims((2048,)) == (2048,)  # 16 * 2048^2 bytes is exactly 64 MiB
+    # the same rule under a 64 MiB limit: 16 * 2048^2 bytes is exactly 64 MiB
+    monkeypatch.setattr(linalg, "_MAX_BYTES", 64 * 2**20)
+    assert _check_dims((2048,)) == (2048,)
     for dims in [(2049,), (64, 64)]:
-        with pytest.raises(InvalidDimension, match="memory holds 67108864"):
+        with pytest.raises(InvalidDimension, match="at most 67108864 fit"):
             _check_dims(dims)
     # the check comes before the 256 MiB identity is built
-    with pytest.raises(InvalidDimension, match="memory holds"):
+    with pytest.raises(InvalidDimension, match="at most 67108864 fit"):
         maximally_mixed((4096,))
-    # a size numpy cannot index keeps its own message
-    with pytest.raises(InvalidDimension, match="numpy indexes"):
-        _check_dims((2**32, 2**32))
 
 
 def test_matrix_functions_act_on_stacks():

@@ -277,31 +277,31 @@ def test_sizes_must_be_integers():
         assert type(werner(size, 0.4).dims[0]) is int
 
 
-def test_random_pure_product_checks_dims_before_drawing():
-    class NoDraws:
-        def normal(self, size=None):
-            raise AssertionError("random_pure_product drew a vector")
-
-    # 2^32 x 2^32 would draw two vectors of 2^32 entries before any check
-    for dims in [(2**32, 2**32), (-1, 2), ()]:
-        with pytest.raises(InvalidDimension):
-            random_pure_product(dims, NoDraws())
-
-
-@pytest.mark.parametrize("helper", [random_density, random_separable])
-@pytest.mark.parametrize("dims", [(2.5, 2), "22", (2**32, 2**32)])
+@pytest.mark.parametrize("helper", [random_density, random_separable, random_pure_product])
+@pytest.mark.parametrize("dims", [(2.5, 2), "22", (2**32, 2**32), (-1, 2), ()])
 def test_random_helpers_check_dims_before_drawing(helper, dims):
     class NoRng:
         def __getattr__(self, name):
             raise AssertionError(f"{helper.__name__} used rng.{name} before checking dims")
 
-    # a float or a string is refused, and 2^32 x 2^32 is never drawn
+    # a float, a string, a negative or no entry is refused, and 2^32 x 2^32 is never drawn
     with pytest.raises(InvalidDimension):
         helper(dims, NoRng())
 
 
+def test_pure_product_checks_dims_before_building(monkeypatch):
+    def build(vectors):
+        raise AssertionError("pure_product built the projector before checking dims")
+
+    # two vectors of 2^11 entries give a 2^22 x 2^22 projector, 256 TiB
+    monkeypatch.setattr(states, "_pure_product_matrix", build)
+    v = np.full(2**11, 2**-5.5)
+    with pytest.raises(InvalidDimension, match="bytes; at most"):
+        pure_product([v, v])
+
+
 def test_werner_checks_its_size_once_per_d(monkeypatch):
-    with pytest.raises(InvalidDimension, match="numpy indexes"):
+    with pytest.raises(InvalidDimension, match="bytes; at most"):
         werner(2**32, 0.0)
     calls = []
     monkeypatch.setattr(states, "_check_dims", lambda dims: calls.append(dims) or dims)
