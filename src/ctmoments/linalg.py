@@ -78,7 +78,7 @@ def is_psd(m: np.ndarray) -> bool:
 def _check_dims(dims) -> tuple[int, ...]:
     """dims as a tuple of ints, else InvalidDimension: a non-empty sequence,
     each entry a Python or numpy integer >= 2 (not a float or a string),
-    whose product D sizes the D x D complex128 matrix at 16 D^2 <= _MAX_BYTES."""
+    whose product D keeps the D x D complex128 matrix, 16 D^2 bytes, within _MAX_BYTES."""
     try:
         dims = tuple(dims)
     except TypeError:
