@@ -190,7 +190,7 @@ def test_maximally_mixed_rejects_non_integer_dims(dims):
         maximally_mixed(dims)
 
 
-def test_dims_hold_at_most_a_matrix_of_max_bytes(monkeypatch):
+def test_dims_hold_at_most_the_largest_matrix_numpy_indexes(monkeypatch):
     # numpy shapes a D x D complex128 view at D = isqrt(intp.max // 16) and refuses one past it
     intp_max = np.iinfo(np.intp).max
     top = isqrt(intp_max // 16)
@@ -209,6 +209,9 @@ def test_dims_hold_at_most_a_matrix_of_max_bytes(monkeypatch):
     for build in (maximally_mixed, partial(DensityMatrix, mat=np.eye(1))):
         with pytest.raises(InvalidDimension, match=f"at most {intp_max} fit"):
             build((big, big))
+
+
+def test_dims_hold_at_most_the_matrix_memory_holds(monkeypatch):
     # the same rule under a 64 MiB limit: 16 * 2048^2 bytes is exactly 64 MiB
     monkeypatch.setattr(linalg, "_MAX_BYTES", 64 * 2**20)
     assert _check_dims((2048,)) == (2048,)
