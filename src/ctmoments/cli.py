@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input/parameter error, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -18,7 +19,6 @@ from .errors import CtmError, ParamOutOfRange
 
 COARSE_STEP = 1e-2  # find_threshold's grid step before refinement
 SECANT_ROUNDS = 4  # secant pairs per bracket before find_threshold bisects
-_GRID_BLOCK = 64  # grid states per stacked analysis; bounds the memory it holds
 _MIN_PRECISION = 1e-8
 
 
@@ -33,13 +33,6 @@ def _seed() -> int:
     return seed
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise CtmError(f"cannot parse dims {text!r}; expected e.g. '2,2'") from None
-
-
 def _family_params(args, names) -> dict:
     """Values of the named family parameters: their flags, CTM_SEED for seed."""
     params = {p: _seed() if p == "seed" else getattr(args, p) for p in names}
@@ -47,13 +40,16 @@ def _family_params(args, names) -> dict:
     if missing:
         raise CtmError(f"{args.family} requires {' and '.join(missing)}")
     if "dims" in params:
-        params["dims"] = _parse_dims(params["dims"])
+        try:
+            params["dims"] = tuple(int(p) for p in params["dims"].split(","))
+        except ValueError:
+            raise CtmError(f"cannot parse dims {params['dims']!r}; expected e.g. '2,2'") from None
     return params
 
 
 def cmd_generate(args) -> int:
-    names, build = states.FAMILIES[args.family]
-    params = _family_params(args, names)
+    build = states.FAMILIES[args.family]
+    params = _family_params(args, inspect.signature(build).parameters)
     rho = build(**params)
     if args.noise is not None:
         rho = states.mix_white_noise(rho, args.noise)
@@ -93,9 +89,9 @@ def find_threshold(
     """Bracket sign changes of the margin on a coarse grid, then refine each.
 
     Returns (crossings, brackets): refined crossing points and the coarse
-    brackets they came from. state_at maps the scalar parameter to a state.
-    The grid is scored in stacks of _GRID_BLOCK states, which must share
-    their dims (else InvalidDimension). Each bracket is refined by secant
+    brackets they came from. state_at maps the scalar parameter to a state;
+    the grid's states, scored in one criteria._margins call, must share their
+    dims (else InvalidDimension). Each bracket is refined by secant
     estimates, each checked with one stacked pair of states, and after
     SECANT_ROUNDS rounds by bisection one state at a time; every crossing
     lies within precision / 2 of a sign change of the margin.
@@ -109,11 +105,9 @@ def find_threshold(
     xs = np.linspace(lo, hi, n_steps + 1).tolist()
 
     def score(points):
-        return criteria._margins([state_at(x) for x in points], tol, criterion)
+        return criteria._margins(map(state_at, points), tol, criterion)
 
-    gs = []
-    for start in range(0, len(xs), _GRID_BLOCK):
-        gs += score(xs[start:start + _GRID_BLOCK])
+    gs = score(xs)
     crossings, brackets = [], []
     for i in range(n_steps):
         if (gs[i] > 0) != (gs[i + 1] > 0):
@@ -154,7 +148,8 @@ def _refine(score, precision, a, b, ga, gb) -> float:
 
 
 def cmd_threshold(args) -> int:
-    names, build = states.FAMILIES[args.family]
+    build = states.FAMILIES[args.family]
+    names = inspect.signature(build).parameters
     if "x" in names:  # werner: its own parameter x, over [-1, 1], where
         # werner(d, x) = s werner(d, -1) + (1 - s) I/D with s = (1 - d x)/(1 + d)
         params = _family_params(args, [p for p in names if p != "x"])

@@ -22,25 +22,27 @@ that fixes its name, its place in evaluate_all's order, whether it needs a
 bipartite state, its test and its weight. `_columns` alone checks tol and
 the names and calls test(weight, analysis) for the columns over the stack,
 (quantity, bound, details). `_evaluate` turns the columns into reports, and
-`_margins` into the bare margins a threshold search follows; the public
-functions are thin wrappers over evaluate_all.
+`_margins`, which sizes a search's stacks, into the bare margins it follows;
+the public functions are thin wrappers over evaluate_all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import isfinite, prod, sqrt
 
 import numpy as np
 
+from . import linalg
 from .bloch import CorrelationTensor, correlation_tensor, unfold
 from .errors import InvalidDimension, NotBipartite, ParamOutOfRange, UnknownCriterion
 from .linalg import DensityMatrix, _require_bipartite, partial_transpose, singular_values
 from .moments import _power_sums, moment_vector
 
 DEFAULT_TOL = 1e-9
+_STACK = 64  # states per stacked analysis in _margins, at most
 # thm2's Krylov space is exhausted once a Lanczos residual (x <= 1) falls to
 # this; two Gram-Schmidt passes leave rounding near 1e-15
 LANCZOS_BREAKDOWN = 1e-13
@@ -352,13 +354,13 @@ def evaluate_all(
     return reports
 
 
-def _columns(rhos, tol, names) -> list[tuple]:
+def _columns(rhos, tol, names, dims=None) -> list[tuple]:
     """The named criteria's columns over one stacked analysis of the states
     rhos: (name, quantities, bounds, details) per name, quantities and
     bounds as Python floats (a shared bound repeats), details a dict or None
-    per state. The one place that stacks states (they must share dims, else
-    InvalidDimension), checks tol and the names and calls test(weight, a)."""
-    dims = rhos[0].dims
+    per state. The one place that stacks states (all of dims, by default the
+    first one's, else InvalidDimension), checks tol and names, calls test(weight, a)."""
+    dims = dims or rhos[0].dims
     others = {rho.dims for rho in rhos if rho.dims != dims}
     if others:
         raise InvalidDimension(f"stacked states must share dims, got {dims} and {others}")
@@ -400,11 +402,19 @@ def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
 
 
 def _margins(rhos, tol, name) -> list[float]:
-    """margin - tol of the one named criterion on each of the states rhos,
-    bit-identical to the report's margin - tol: positive exactly when the
-    criterion flags the state. Builds no report."""
-    ((_, quantity, bounds, _),) = _columns(rhos, tol, [name])
-    return [q - b - tol for q, b in zip(quantity, bounds)]
+    """margin - tol of the one named criterion on each of the states rhos, any
+    iterable, bit-identical to the report's margin - tol: positive exactly when
+    the criterion flags the state. Builds no report. Scores stacks of at most
+    _STACK states, each within _MAX_BYTES / _STACK bytes or of one state."""
+    rhos = iter(rhos)
+    first = next(rhos)
+    size = max(1, min(_STACK, linalg._MAX_BYTES // (_STACK * 16 * first.dim**2)))
+    margins, rhos = [], chain([first], rhos)
+    while stack := list(islice(rhos, size)):
+        ((_, quantity, bounds, _),) = _columns(stack, tol, [name], first.dims)
+        margins += [q - b - tol for q, b in zip(quantity, bounds)]
+        del stack  # before the next stack's states are built
+    return margins
 
 
 def _noise_crossing(extreme, name, tol) -> float | None:

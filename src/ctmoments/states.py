@@ -167,20 +167,13 @@ def random_density(dims, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(dims, mat)
 
 
-# name -> (parameter names, constructor taking them by keyword), the named
-# families of the CLI. Each constructor is a lambda rather than the public
-# function itself: a tracer that rebinds module functions and the direct
-# values of module-level dicts cannot reach a function nested in a tuple,
-# so storing e.g. `werner` here would leave an unwrapped binding behind.
+# name -> constructor of the CLI's named families, taking its flags by keyword
 FAMILIES = {
-    "werner": (("d", "x"), lambda d, x: werner(d, x)),
-    "tiles-ppt": ((), lambda: tiles_ppt()),
-    "ghz": (("n",), lambda n: ghz(n)),
-    "w": (("n",), lambda n: w_state(n)),
-    "pure-product": (
-        ("dims", "seed"),
-        lambda dims, seed: random_pure_product(dims, np.random.default_rng(seed)),
-    ),
-    "maximally-mixed": (("dims",), lambda dims: maximally_mixed(dims)),
-    "bell": ((), lambda: bell()),
+    "werner": werner,
+    "tiles-ppt": tiles_ppt,
+    "ghz": ghz,
+    "w": w_state,
+    "pure-product": lambda dims, seed: random_pure_product(dims, np.random.default_rng(seed)),
+    "maximally-mixed": maximally_mixed,
+    "bell": bell,
 }

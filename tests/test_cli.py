@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -161,6 +162,10 @@ def test_analyze_boolean_entry_exits_2(tmp_path, capsys):
     ([{"version": 1}], "state file must be a JSON object"),
     ({"version": 1, "dims": [2], "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
      "malformed matrix"),  # ragged: a second row of one pair
+    ({"version": 1, "dims": [2], "matrix": [[0.5, 0.0], [0.0, 0.5]]},
+     "got shape (2, 2)"),  # a plain 2-D matrix, no [re, im] pairs
+    ({"version": 1, "dims": [2], "matrix": [[[0.5, 0.0, 0.0]] * 2] * 2},
+     "got shape (2, 2, 3)"),  # rows of triples
 ])
 def test_analyze_non_object_or_ragged_file_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
@@ -247,7 +252,8 @@ SAMPLE_FLAGS = {"d": "3", "x": "-0.5", "n": "3", "dims": "2,3"}
 @pytest.mark.parametrize("family", sorted(states.FAMILIES))
 def test_every_family_generates(family, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CTM_SEED", "7")
-    names, build = states.FAMILIES[family]
+    build = states.FAMILIES[family]
+    names = inspect.signature(build).parameters
     path = tmp_path / "s.json"
     argv = ["generate", "--family", family, "-o", str(path)]
     for p in names:

@@ -8,7 +8,7 @@ from math import ceil, log2
 import numpy as np
 import pytest
 
-from ctmoments import DensityMatrix, cli, criteria, evaluate_all, states
+from ctmoments import DensityMatrix, cli, criteria, evaluate_all, linalg, states
 from ctmoments.cli import COARSE_STEP, SECANT_ROUNDS, criterion_margin, find_threshold
 from ctmoments.criteria import DEFAULT_TOL
 from ctmoments.errors import InvalidDimension
@@ -119,6 +119,33 @@ def test_grid_block_of_mixed_dims_raises():
         find_threshold(state_at, "ppt", 0.0, 1.0)
 
 
+def test_later_stack_of_other_dims_raises():
+    # the grid's first stack holds the 64 states below 0.64, all (2, 2): the
+    # second stack, all (3, 3), must be refused too
+    low, high = states.maximally_mixed((2, 2)), states.maximally_mixed((3, 3))
+    with pytest.raises(InvalidDimension, match="share dims"):
+        find_threshold(lambda x: low if x < 0.64 else high, "dv", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["ppt", "thm2-canonical"])
+def test_stacks_stay_within_the_byte_limit(monkeypatch, name):
+    # a (2, 2) matrix takes 16 * 4^2 = 256 bytes, so a limit of 64 * 256 * 5
+    # bytes leaves 5 states a stack; the crossings never depend on the stack
+    werner2 = lambda x: states.werner(2, x)
+    expected = find_threshold(werner2, name, -1.0, 1.0)
+    sizes = []
+    columns = criteria._columns
+
+    def counted(rhos, *args):
+        sizes.append(len(rhos))
+        return columns(rhos, *args)
+
+    monkeypatch.setattr(criteria, "_columns", counted)
+    monkeypatch.setattr(linalg, "_MAX_BYTES", 64 * 256 * 5)
+    assert find_threshold(werner2, name, -1.0, 1.0) == expected
+    assert max(sizes) == 5 and sizes[:41] == [5] * 40 + [1]
+
+
 def test_swept_states_need_no_eigensolver(monkeypatch):
     bases = [states.tiles_ppt(), pure((2, 3), 1), states.ghz(3)]
     calls = []
@@ -183,17 +210,17 @@ def test_margin_step_falls_back_to_bisection(monkeypatch):
     step, precision = 0.4237, 1e-5
     entangled, separable = states.werner(2, -0.5), states.werner(2, 0.5)
     scored, sizes = [], []
-    margins = criteria._margins
+    columns = criteria._columns
 
     def counted(rhos, *args):
         sizes.append(len(rhos))
-        return margins(rhos, *args)
+        return columns(rhos, *args)
 
     def state_at(x):
         scored.append(x)
         return entangled if x < step else separable
 
-    monkeypatch.setattr(criteria, "_margins", counted)
+    monkeypatch.setattr(criteria, "_columns", counted)
     crossings, brackets = find_threshold(state_at, "ppt", 0.0, 1.0, precision=precision)
     assert brackets == [(0.42, 0.43)] and len(crossings) == 1
     assert abs(crossings[0] - step) <= precision / 2
