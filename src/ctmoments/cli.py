@@ -10,6 +10,7 @@ import inspect
 import json
 import os
 import sys
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -79,7 +80,7 @@ def cmd_analyze(args) -> int:
 
 def criterion_margin(rho, name, tol) -> float:
     """Detection margin: positive means the named criterion flags rho."""
-    (margin,) = criteria._margins([rho], tol, name)
+    (margin,) = criteria._margins([rho], tol, name, rho.dims)
     return margin
 
 
@@ -90,8 +91,8 @@ def find_threshold(
 
     Returns (crossings, brackets): refined crossing points and the coarse
     brackets they came from. state_at maps the scalar parameter to a state;
-    the grid's states, scored in one criteria._margins call, must share their
-    dims (else InvalidDimension). Each bracket is refined by secant
+    every state scored, grid or refinement, must have the dims of the grid's
+    first state (else InvalidDimension). Each bracket is refined by secant
     estimates, each checked with one stacked pair of states, and after
     SECANT_ROUNDS rounds by bisection one state at a time; every crossing
     lies within precision / 2 of a sign change of the margin.
@@ -103,11 +104,12 @@ def find_threshold(
             f"precision must be finite and >= {_MIN_PRECISION}, got {precision}")
     n_steps = max(1, int(round((hi - lo) / COARSE_STEP)))
     xs = np.linspace(lo, hi, n_steps + 1).tolist()
+    first = state_at(xs[0])  # fixes the dims of every state scored
 
-    def score(points):
-        return criteria._margins(map(state_at, points), tol, criterion)
+    def score(points, *rhos):
+        return criteria._margins(chain(rhos, map(state_at, points)), tol, criterion, first.dims)
 
-    gs = score(xs)
+    gs = score(xs[1:], first)
     crossings, brackets = [], []
     for i in range(n_steps):
         if (gs[i] > 0) != (gs[i + 1] > 0):

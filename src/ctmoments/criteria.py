@@ -7,8 +7,8 @@ violated = margin > tol.
 
 Each state is analysed once, as part of a stack of states that share their
 dims: evaluate_all is a stack of one, and a threshold search scores its
-coarse grid in stacks. `_columns` takes the states, checks that they share
-dims and stacks their matrices. `_Analysis` builds the stacked extended
+coarse grid in stacks. `_columns` is told the dims, checks the states
+against them and stacks their matrices. `_Analysis` builds the stacked extended
 correlation tensor T~ on first use, reads every tensor as T~ under a party
 weight (so dv, li and ccnr are one trace-norm test), and keeps one spectrum
 entry per (weight, mode): the stacked singular values of that unfolding and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from math import isfinite, prod, sqrt
 
 import numpy as np
@@ -354,13 +354,12 @@ def evaluate_all(
     return reports
 
 
-def _columns(rhos, tol, names, dims=None) -> list[tuple]:
+def _columns(rhos, tol, names, dims) -> list[tuple]:
     """The named criteria's columns over one stacked analysis of the states
     rhos: (name, quantities, bounds, details) per name, quantities and
     bounds as Python floats (a shared bound repeats), details a dict or None
-    per state. The one place that stacks states (all of dims, by default the
-    first one's, else InvalidDimension), checks tol and names, calls test(weight, a)."""
-    dims = dims or rhos[0].dims
+    per state. The one place that stacks states (all of dims, which the
+    caller names, else InvalidDimension), checks tol and names, calls test(weight, a)."""
     others = {rho.dims for rho in rhos if rho.dims != dims}
     if others:
         raise InvalidDimension(f"stacked states must share dims, got {dims} and {others}")
@@ -394,24 +393,23 @@ def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
     """evaluate_all of each of the states rhos, one stacked analysis for all
     of them; applies the margin rule to _columns."""
     rows = [[] for _ in rhos]
-    for name, quantity, bounds, details in _columns(rhos, tol, names):
+    for name, quantity, bounds, details in _columns(rhos, tol, names, rhos[0].dims):
         for row, q, b, detail in zip(rows, quantity, bounds, details):
             margin = q - b
             row.append(CriterionReport(name, q, b, margin > tol, margin, detail))
     return rows
 
 
-def _margins(rhos, tol, name) -> list[float]:
+def _margins(rhos, tol, name, dims) -> list[float]:
     """margin - tol of the one named criterion on each of the states rhos, any
-    iterable, bit-identical to the report's margin - tol: positive exactly when
-    the criterion flags the state. Builds no report. Scores stacks of at most
-    _STACK states, each within _MAX_BYTES / _STACK bytes or of one state."""
-    rhos = iter(rhos)
-    first = next(rhos)
-    size = max(1, min(_STACK, linalg._MAX_BYTES // (_STACK * 16 * first.dim**2)))
-    margins, rhos = [], chain([first], rhos)
+    iterable of states of dims, bit-identical to the report's margin - tol:
+    positive exactly when the criterion flags the state. Builds no report.
+    Scores stacks of at most _STACK states, each within _MAX_BYTES / _STACK
+    bytes or of one state."""
+    size = max(1, min(_STACK, linalg._MAX_BYTES // (_STACK * 16 * prod(dims) ** 2)))
+    margins, rhos = [], iter(rhos)
     while stack := list(islice(rhos, size)):
-        ((_, quantity, bounds, _),) = _columns(stack, tol, [name], first.dims)
+        ((_, quantity, bounds, _),) = _columns(stack, tol, [name], dims)
         margins += [q - b - tol for q, b in zip(quantity, bounds)]
         del stack  # before the next stack's states are built
     return margins

@@ -27,9 +27,7 @@ class StateFileError(CtmError):
 
 
 def state_to_dict(rho: DensityMatrix, meta: dict | None = None) -> dict:
-    matrix = [
-        [[float(z.real), float(z.imag)] for z in row] for row in rho.mat
-    ]
+    matrix = rho.mat.view(np.float64).reshape(rho.mat.shape + (2,)).tolist()
     out = {"version": STATE_FILE_VERSION, "dims": list(rho.dims), "matrix": matrix}
     if meta is not None:
         out["meta"] = meta
@@ -72,7 +70,7 @@ def load_state(path: str) -> tuple[DensityMatrix, dict | None]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, too deep or not UTF-8
             raise StateFileError(f"invalid JSON: {exc}") from None
     return state_from_dict(data)
 

@@ -142,8 +142,8 @@ def test_analyze_missing_file(tmp_path, capsys):
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     zero_parties = json.dumps({"version": 1, "dims": [], "matrix": [[[1, 0]]]})
-    # bad JSON, bad UTF-8, a state on no subsystem at all
-    for content in (b"{broken", b"\xff\xfe\x00", zero_parties.encode()):
+    # bad JSON, bad UTF-8, a state on no subsystem at all, JSON nested too deep
+    for content in (b"{broken", b"\xff\xfe\x00", zero_parties.encode(), b"[" * 100_000):
         path.write_bytes(content)
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and err.startswith("error:"), content

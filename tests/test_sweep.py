@@ -125,6 +125,17 @@ def test_later_stack_of_other_dims_raises():
     low, high = states.maximally_mixed((2, 2)), states.maximally_mixed((3, 3))
     with pytest.raises(InvalidDimension, match="share dims"):
         find_threshold(lambda x: low if x < 0.64 else high, "dv", 0.0, 1.0)
+    # the 201 grid states are werner(2), the refinement's werner(3): a
+    # bracket's states must have the grid's dims as well
+    scored = []
+
+    def state_at(x):
+        scored.append(x)
+        return states.werner(2 if len(scored) <= 201 else 3, x)
+
+    with pytest.raises(InvalidDimension, match="share dims"):
+        find_threshold(state_at, "dv", -1.0, 1.0)
+    assert len(scored) > 201
 
 
 @pytest.mark.parametrize("name", ["ppt", "thm2-canonical"])
