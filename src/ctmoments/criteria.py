@@ -24,6 +24,11 @@ the names and calls test(weight, analysis) for the columns over the stack,
 (quantity, bound, details). `_evaluate` turns the columns into reports, and
 `_margins`, which sizes a search's stacks, into the bare margins it follows;
 the public functions are thin wrappers over evaluate_all.
+
+A search's states are often one segment s end + (1 - s) I/D (white noise,
+werner's x; see DensityMatrix._segment). `_margins` alone scores a stack
+whose states share one end from that end's matrix and the vector s, equal
+to the matrix path to rounding; reports always take the matrix path.
 """
 
 from __future__ import annotations
@@ -101,28 +106,44 @@ def li_bound(d1: int, d2: int) -> float:
 
 
 class _Analysis:
-    """Correlation data of a stack of states, each piece computed on first use.
+    """Correlation data of a stack of N states, each piece computed on first use.
 
     It holds the states' dims and their matrices as mat, a stack (N, D, D):
     the fields correlation_tensor and partial_transpose read, so each of
-    them acts on the whole stack at once.
+    them acts on the whole stack at once. Given s (N,), the states are the
+    segment s end + (1 - s) I/D and mat is end's alone, (1, D, D): T~ is
+    interpolated from end's, a weight with u = 0 for every party gives
+    |s| times end's singular values, and ppt reads end's partial transpose,
+    so no state's matrix is stacked or contracted.
     """
 
-    def __init__(self, dims: tuple[int, ...], mat: np.ndarray, thm2=()):
+    def __init__(self, dims: tuple[int, ...], mat: np.ndarray, thm2=(), s=None):
         self.dims = dims
         self.mat = mat
         self.thm2 = thm2  # the named thm2 rows' weights, in registry order
-        self._extended: CorrelationTensor | None = None
+        self.s = s
+        self.n = len(mat if s is None else s)
+        self._end: CorrelationTensor | None = None  # T~ of mat
+        self._extended: CorrelationTensor | None = None  # T~ of the N states
         self._spectra: dict[tuple, tuple] = {}
         self._required: dict = {}
 
-    def tensor(self, weight) -> CorrelationTensor:
-        """T~ with identity slots scaled by u and generator slots by v, (u^2, v^2) =
-        weight(d); a zero u is sliced off, so T and T~ are views, not copies."""
+    def tensor(self, weight, end: bool = False) -> CorrelationTensor:
+        """T~ of the states, or of mat with end, with identity slots scaled by
+        u and generator slots by v, (u^2, v^2) = weight(d); a zero u is sliced
+        off, so T and T~ are views, not copies."""
         if self._extended is None:
-            self._extended = correlation_tensor(self, extended=True)
+            self._end = self._extended = correlation_tensor(self, extended=True)
+            if self.s is not None:
+                # T~(s end + (1 - s) I/D) = s T~(end) + (1 - s)/D at (0, ..., 0),
+                # as Tr(I/D O_1 (x) ... (x) O_n) vanishes unless every O_k = I/d_k
+                s, ends = self.s, self._end.entries
+                corner = (Ellipsis,) + (0,) * len(self.dims)
+                entries = s.reshape((-1,) + (1,) * len(self.dims)) * ends
+                entries[corner] = s * ends[corner] + (1 - s) / prod(self.dims)
+                self._extended = CorrelationTensor(self.dims, entries, extended=True)
         index, scale, _ = _weighting(weight, self.dims)
-        entries = self._extended.entries[index]
+        entries = (self._end if end else self._extended).entries[index]
         entries = entries if scale is None else entries * scale
         return CorrelationTensor(self.dims, entries, extended=index[-1].start == 0)
 
@@ -131,11 +152,18 @@ class _Analysis:
         its singular values (N, r) and their power sums, each (N,).
 
         At n = 2 the mode-2 unfolding is the transpose of mode 1, so both
-        modes share one entry.
+        modes share one entry. On a segment, a weight that slices off every
+        identity slot leaves s T_w(end), whose singular values are |s| times
+        end's; any other weight takes the SVD of the interpolated T~.
         """
         key = weight, 1 if len(self.dims) == 2 else mode
         if key not in self._spectra:
-            s = singular_values(unfold(self.tensor(weight), key[1]))
+            index = _weighting(weight, self.dims)[0]
+            if self.s is not None and all(k.start for k in index[1:]):
+                ends = singular_values(unfold(self.tensor(weight, end=True), key[1]))
+                s = np.abs(self.s)[:, None] * ends
+            else:
+                s = singular_values(unfold(self.tensor(weight), key[1]))
             self._spectra[key] = (s, *_power_sums(s, 3))
         return self._spectra[key]
 
@@ -149,7 +177,7 @@ class _Analysis:
         capped at its spectrum's own a1, the one dv and li compare.
         """
         if weight not in self._required:
-            rows = np.zeros((len(self.thm2), len(self.mat), min(self.dims) ** 2))
+            rows = np.zeros((len(self.thm2), self.n, min(self.dims) ** 2))
             for block, t in zip(rows, self.thm2):
                 s = self.spectrum(t, 1)[0]
                 block[:, :s.shape[-1]] = s
@@ -173,7 +201,11 @@ def moments_of_state(rho: DensityMatrix, canonical: bool, K: int | None = None) 
 def _ppt(_, a: _Analysis):
     # the states are validated, and (rho^G) - (rho^G)^dag = (rho - rho^dag)^G
     # with max|rho^G| = max|rho|, so the partial transpose needs no check
-    lam_min = np.linalg.eigvalsh(partial_transpose(a))[:, 0]
+    lam = np.linalg.eigvalsh(partial_transpose(a))
+    if a.s is None:
+        lam_min = lam[:, 0]
+    else:  # (I/D)^G = I/D: s end^G + (1 - s) I/D has end^G's eigenvectors
+        lam_min = np.where(a.s >= 0, lam[0, 0], lam[0, -1]) * a.s + (1 - a.s) / prod(a.dims)
     return -lam_min, 0.0, [{"min_eigenvalue": lam} for lam in lam_min.tolist()]
 
 
@@ -251,7 +283,7 @@ def _thm3(weight, a: _Analysis):
         for mode in range(1, len(a.dims) + 1)
     ]
     worst, details = [], []
-    for k in range(len(a.mat)):
+    for k in range(a.n):
         modes = [
             {"mode": mode, "quantity": q[k], "bound": rhs[k], "margin": q[k] - rhs[k]}
             for mode, (q, rhs) in enumerate(sides, start=1)
@@ -354,12 +386,14 @@ def evaluate_all(
     return reports
 
 
-def _columns(rhos, tol, names, dims) -> list[tuple]:
+def _columns(rhos, tol, names, dims, segment=None) -> list[tuple]:
     """The named criteria's columns over one stacked analysis of the states
     rhos: (name, quantities, bounds, details) per name, quantities and
     bounds as Python floats (a shared bound repeats), details a dict or None
     per state. The one place that stacks states (all of dims, which the
-    caller names, else InvalidDimension), checks tol and names, calls test(weight, a)."""
+    caller names, else InvalidDimension), checks tol and names, calls test(weight, a).
+    segment = (end, s) says that rhos are s end + (1 - s) I/D; the analysis
+    then reads end's matrix alone."""
     others = {rho.dims for rho in rhos if rho.dims != dims}
     if others:
         raise InvalidDimension(f"stacked states must share dims, got {dims} and {others}")
@@ -377,7 +411,10 @@ def _columns(rhos, tol, names, dims) -> list[tuple]:
     if bipartite and len(dims) != 2:
         raise NotBipartite(f"{bipartite} need a bipartite state, got {len(dims)} parties")
     thm2 = [w for n, (_, test, w) in _REGISTRY.items() if test is _thm2 and n in names]
-    a = _Analysis(dims, np.array([rho.mat for rho in rhos]), thm2)
+    if segment is None:
+        a = _Analysis(dims, np.array([rho.mat for rho in rhos]), thm2)
+    else:
+        a = _Analysis(dims, segment[0].mat[None], thm2, segment[1])
     columns = []
     for name in names:
         _, test, weight = _REGISTRY[name]
@@ -400,16 +437,28 @@ def _evaluate(rhos, tol, names) -> list[list[CriterionReport]]:
     return rows
 
 
+def _common_segment(rhos):
+    """(end, s) when every state of rhos lies on a segment from one end
+    (compared by identity), s (N,); else None."""
+    segments = [rho._segment for rho in rhos]
+    end = segments[0] and segments[0][0]
+    if end is None or any(seg is None or seg[0] is not end for seg in segments):
+        return None
+    return end, np.array([seg[1] for seg in segments])
+
+
 def _margins(rhos, tol, name, dims) -> list[float]:
     """margin - tol of the one named criterion on each of the states rhos, any
-    iterable of states of dims, bit-identical to the report's margin - tol:
-    positive exactly when the criterion flags the state. Builds no report.
-    Scores stacks of at most _STACK states, each within _MAX_BYTES / _STACK
-    bytes or of one state."""
+    iterable of states of dims: positive when the criterion flags the state.
+    Builds no report. Scores stacks of at most _STACK states, each within
+    _MAX_BYTES / _STACK bytes or of one state. A stack whose states share
+    one segment end is scored from that end, its margins equal to the
+    report's margin - tol to rounding; any other stack is scored from its
+    matrices, bit-identical to the report's."""
     size = max(1, min(_STACK, linalg._MAX_BYTES // (_STACK * 16 * prod(dims) ** 2)))
     margins, rhos = [], iter(rhos)
     while stack := list(islice(rhos, size)):
-        ((_, quantity, bounds, _),) = _columns(stack, tol, [name], dims)
+        ((_, quantity, bounds, _),) = _columns(stack, tol, [name], dims, _common_segment(stack))
         margins += [q - b - tol for q, b in zip(quantity, bounds)]
         del stack  # before the next stack's states are built
     return margins

@@ -99,13 +99,17 @@ class DensityMatrix:
     Validated on construction: Hermitian, unit trace, PSD within tolerance.
     Composite indices are row-major over the subsystems, subsystem 1 most
     significant. The Hermiticity defect and lambda_min the rules were
-    applied to are kept as _defect and _lam_min.
+    applied to are kept as _defect and _lam_min. _segment is (end, s) when
+    mat == s end.mat + (1 - s) I/D, end a validated state without a
+    segment and |s| <= 1; only mix_white_noise and werner set it, through
+    _derived_state, and a search's _margins reads it.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray = field(repr=False)
     _defect: float = field(init=False, repr=False, compare=False)
     _lam_min: float = field(init=False, repr=False, compare=False)
+    _segment: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
@@ -142,15 +146,28 @@ class DensityMatrix:
         return prod(self.dims)
 
 
-def _derived_state(dims: tuple[int, ...], mat, lam_min: float, defect: float):
+def _derived_state(dims: tuple[int, ...], mat, lam_min: float, defect: float, segment=None):
     """A state of validated dims (a tuple of ints, kept as given) whose
     lambda_min and Hermiticity defect are known in closed form: the same
     rules as DensityMatrix, with those two residuals given instead of
-    measured (the trace and scale still are)."""
+    measured (the trace and scale still are, unless segment is given).
+
+    segment = (end, s) states that mat = s end.mat + (1 - s) I/D with |s| <= 1
+    and end a validated state without a segment. Then mat is not read again:
+    Tr mat - 1 = s (Tr end - 1), which end's trace rule bounds, and the
+    identity adds no Hermiticity defect; scale = max(1, max|mat|) >= 1, so
+    a defect <= HERMITICITY_RTOL and lambda_min >= -PSD_ATOL pass the
+    measured rules too. A state that misses these bounds is measured.
+    """
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "dims", dims)
     object.__setattr__(rho, "mat", np.ascontiguousarray(mat, dtype=np.complex128))
-    rho._apply_rules(defect, lam_min)
+    if segment is None or defect > HERMITICITY_RTOL or lam_min < -PSD_ATOL:
+        rho._apply_rules(defect, lam_min)
+    else:
+        object.__setattr__(rho, "_defect", float(defect))
+        object.__setattr__(rho, "_lam_min", float(lam_min))
+    object.__setattr__(rho, "_segment", segment)
     return rho
 
 

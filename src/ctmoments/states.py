@@ -45,17 +45,30 @@ def _flip(d: int) -> np.ndarray:
     return flip
 
 
+def _werner_matrix(d: int, x: float) -> np.ndarray:
+    return ((d - x) * _identity(d * d) + (d * x - 1) * _flip(d)) / (d**3 - d)
+
+
+@lru_cache(maxsize=None)
+def _werner_end(d: int) -> DensityMatrix:
+    """werner(d, -1) without a segment, the end of every werner(d, x)'s; kept
+    for the process. lambda_min is 0 on the symmetric subspace."""
+    return _derived_state((d, d), _werner_matrix(d, -1.0), 0.0, 0.0)
+
+
 def werner(d: int, x: float) -> DensityMatrix:
-    """Werner state [(d - x) I + (d x - 1) F] / (d^3 - d), separable iff x >= 0."""
+    """Werner state [(d - x) I + (d x - 1) F] / (d^3 - d), separable iff x >= 0.
+
+    It is s werner(d, -1) + (1 - s) I/D with s = (1 - d x)/(d + 1), its segment."""
     d = _size("werner", "d", d)
     if not -1.0 <= x <= 1.0:
         raise ParamOutOfRange(f"werner parameter x must lie in [-1, 1], got {x}")
-    flip = _flip(d)  # checks (d, d) once per d
-    mat = ((d - x) * _identity(d * d) + (d * x - 1) * flip) / (d**3 - d)
+    _flip(d)  # checks (d, d) once per d
     # eigenvalues (1 + x)/(d(d + 1)) on the symmetric and (1 - x)/(d(d - 1))
     # on the antisymmetric subspace; mat is real and symmetric
     lam_min = min((1 + x) / (d * (d + 1)), (1 - x) / (d * (d - 1)))
-    return _derived_state((d, d), mat, lam_min, 0.0)
+    segment = _werner_end(d), (1 - d * x) / (d + 1)
+    return _derived_state((d, d), _werner_matrix(d, x), lam_min, 0.0, segment)
 
 
 def _ket(*amps) -> np.ndarray:
@@ -80,14 +93,17 @@ def tiles_ppt() -> DensityMatrix:
 
 
 def mix_white_noise(rho: DensityMatrix, x: float) -> DensityMatrix:
-    """x * rho + (1 - x)/D * I; x = 0 is maximally mixed, x = 1 is rho."""
+    """x * rho + (1 - x)/D * I; x = 0 is maximally mixed, x = 1 is rho.
+
+    Its segment is (rho, x), or (end, x s) when rho lies on (end, s)."""
     if not 0.0 <= x <= 1.0:
         raise ParamOutOfRange(f"noise parameter x must lie in [0, 1], got {x}")
     d = rho.dim
     mat = x * rho.mat + (1.0 - x) / d * _identity(d)
     # the spectrum shifts affinely and the identity adds no defect
     lam_min = x * rho._lam_min + (1.0 - x) / d
-    return _derived_state(rho.dims, mat, lam_min, x * rho._defect)
+    end, s = rho._segment or (rho, 1.0)
+    return _derived_state(rho.dims, mat, lam_min, x * rho._defect, (end, x * s))
 
 
 def _pure_product_matrix(vectors) -> np.ndarray:

@@ -101,9 +101,9 @@ def test_summarize_writes_each_metrics_verdict(ab_pairs):
     assert out["ops_per_s"]["change_better_pairs"] == 0
 
 
-@pytest.mark.parametrize("change_ops, code", [(100.0, 0), (60.0, 1)])
-def test_a_past_verdict_is_written_and_exits_1(ab_pairs, monkeypatch, tmp_path, change_ops,
-                                               code):
+def fake_runs(ab_pairs, monkeypatch, change_ops):
+    """Stubs export and run: every run reads 1.0 on every metric but
+    ops_per_s, which is 100 on the parent's side and change_ops on the change's."""
     def export(rev, dest):
         dest.mkdir(parents=True)
         return rev * 40
@@ -118,6 +118,12 @@ def test_a_past_verdict_is_written_and_exits_1(ab_pairs, monkeypatch, tmp_path, 
     names = [m["name"] for m in spec["end_to_end"]]
     monkeypatch.setattr(ab_pairs, "export", export)
     monkeypatch.setattr(ab_pairs, "run", run)
+
+
+@pytest.mark.parametrize("change_ops, code", [(100.0, 0), (60.0, 1)])
+def test_a_past_verdict_is_written_and_exits_1(ab_pairs, monkeypatch, tmp_path, change_ops,
+                                               code):
+    fake_runs(ab_pairs, monkeypatch, change_ops)
     out = tmp_path / "bench.json"
     monkeypatch.setattr(sys, "argv", ["ab_pairs.py", "a", "b", "--seeds", "1-2",
                                       "--out", str(out)])
@@ -147,3 +153,18 @@ def test_judge_a_claimed_gain(ab_pairs, metric, parent, change, wins, verdict):
     block = {"pairs": len(parent), "metrics": ab_pairs.summarize(runs, [metric])}
     got = ab_pairs.judge(block, metric)
     assert got.startswith(f"{verdict}:") and f"better in {wins} of 10 pairs" in got, got
+
+
+@pytest.mark.parametrize("change_ops, verdict", [(130.0, "met"), (100.0, "not met")])
+def test_claim_is_printed_after_the_verdicts(ab_pairs, monkeypatch, tmp_path, capsys,
+                                             change_ops, verdict):
+    fake_runs(ab_pairs, monkeypatch, change_ops)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", "a", "b", "--seeds", "1-2", "--out",
+                                      str(out), "--claim", "threshold-sweep:ops_per_s"])
+    assert ab_pairs.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(out.read_text())["benchmark"]["claim"]["result"]
+    assert result.startswith(f"{verdict}:")
+    assert lines[-1] == f"claim threshold-sweep ops_per_s: {result}"
+    assert all(": within," in line for line in lines[:-1])

@@ -19,7 +19,7 @@ from ctmoments import (
 )
 from ctmoments.errors import InvalidDimension, NotHermitian, NotNormalized, NotPositive
 from ctmoments.errors import ParamOutOfRange
-from ctmoments import states
+from ctmoments import io, states
 from ctmoments.linalg import _derived_state
 from ctmoments.states import (
     FAMILIES,
@@ -182,6 +182,15 @@ def test_random_separable_is_ppt():
         assert is_psd(partial_transpose(rho))
 
 
+def on_segment(rho):
+    """Asserts that rho's segment (end, s) holds: mat is s end.mat + (1 - s) I/D
+    to rounding, |s| <= 1 and end has no segment of its own."""
+    end, s = rho._segment
+    assert end._segment is None and end.dims == rho.dims and abs(s) <= 1
+    want = s * end.mat + (1 - s) / rho.dim * np.eye(rho.dim)
+    assert np.abs(rho.mat - want).max() <= 4 * np.finfo(float).eps
+
+
 def measured(rho):
     """(lambda_min, Hermiticity defect) of a fresh, fully validated copy."""
     full = DensityMatrix(rho.dims, rho.mat)
@@ -205,10 +214,15 @@ def test_mixture_residuals_match_measured(dims, seed, rank, x, y):
     d = int(np.prod(dims))
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     base = DensityMatrix(dims, g @ g.conj().T / np.linalg.norm(g) ** 2)
-    for rho in (mix_white_noise(base, x), mix_white_noise(mix_white_noise(base, y), x)):
+    noisy = mix_white_noise(base, y)
+    flip = werner(dims[0], 2 * y - 1)
+    for rho in (mix_white_noise(base, x), mix_white_noise(noisy, x),
+                mix_white_noise(mix_white_noise(noisy, x), y), mix_white_noise(flip, x),
+                mix_white_noise(mix_white_noise(flip, y), x)):
         lam_min, defect = measured(rho)
         assert abs(rho._lam_min - lam_min) <= 1e-13
         assert abs(rho._defect - defect) <= 1e-13
+        on_segment(rho)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,6 +232,24 @@ def test_werner_residuals_match_measured(d, x):
     lam_min, defect = measured(rho)
     assert abs(rho._lam_min - lam_min) <= 1e-13
     assert rho._defect == defect == 0.0
+    on_segment(rho)
+    assert rho._segment[0] is states._werner_end(d)
+
+
+def test_only_swept_states_carry_a_segment(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "noisy-bell.json"
+    io.save_state(path, mix_white_noise(bell(), 0.5))
+    built = [
+        DensityMatrix((2, 2), np.eye(4) / 4), io.load_state(path)[0], maximally_mixed((2, 3)),
+        tiles_ppt(), bell(), ghz(3), w_state(3), pure_product([[1, 0], [0, 1]]),
+        random_pure_product((2, 2), rng), random_separable((2, 3), rng),
+        random_density((3, 3), rng), states._werner_end(3),
+        _derived_state((2, 2), np.eye(4) / 4, 0.25, 0.0),
+    ]
+    assert [rho._segment for rho in built] == [None] * len(built)
+    assert mix_white_noise(bell(), 0.5)._segment is not None
+    assert werner(2, 0.5)._segment is not None
 
 
 def test_derived_states_keep_every_rule():
@@ -237,6 +269,16 @@ def test_derived_states_keep_every_rule():
     for x in (-1.1, 1.1, float("nan")):
         with pytest.raises(ParamOutOfRange):
             werner(3, x)
+
+
+def test_segment_states_keep_the_psd_and_hermitian_rules():
+    # a segment state skips the trace and scale, never the two residuals
+    mat, end = np.eye(4, dtype=complex) / 4, bell()
+    assert _derived_state((2, 2), mat, 0.25, 0.0, (end, 0.0))._segment == (end, 0.0)
+    with pytest.raises(NotPositive):
+        _derived_state((2, 2), mat, -1e-6, 0.0, (end, 0.0))
+    with pytest.raises(NotHermitian):
+        _derived_state((2, 2), mat, 0.25, 1e-6, (end, 0.0))
 
 
 def test_mix_white_noise_bytes_match_a_fresh_build():

@@ -158,15 +158,23 @@ def test_stacks_stay_within_the_byte_limit(monkeypatch, name):
 
 
 def test_swept_states_need_no_eigensolver(monkeypatch):
+    # nor do they measure their Hermiticity or scale: only each werner end,
+    # built once per d, is measured
     bases = [states.tiles_ppt(), pure((2, 3), 1), states.ghz(3)]
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    calls, checks = [], []
+    eigvalsh, check_hermitian = np.linalg.eigvalsh, linalg._check_hermitian
 
     def counted(m, *args, **kwargs):
         calls.append(np.shape(m))
         return eigvalsh(m, *args, **kwargs)
 
+    def checked(m, *args):
+        checks.append(np.shape(m))
+        return check_hermitian(m, *args)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(linalg, "_check_hermitian", checked)
+    states._werner_end.cache_clear()
     for x in np.linspace(0.0, 1.0, 11):
         for base in bases:
             states.mix_white_noise(base, x)
@@ -175,15 +183,16 @@ def test_swept_states_need_no_eigensolver(monkeypatch):
         for x in np.linspace(-1.0, 1.0, 11):
             states.werner(d, x)
     assert calls == []
+    assert checks == [(4, 4), (9, 9), (16, 16)]
 
 
 def test_tiles_search_builds_one_analysis_per_block_and_secant_pair(monkeypatch):
     built = []
 
     class Counted(criteria._Analysis):
-        def __init__(self, dims, mat, thm2=()):
-            built.append(len(mat))
-            super().__init__(dims, mat, thm2)
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.n)
 
     monkeypatch.setattr(criteria, "_Analysis", Counted)
     tiles = states.tiles_ppt()
@@ -193,6 +202,78 @@ def test_tiles_search_builds_one_analysis_per_block_and_secant_pair(monkeypatch)
     # li's margin is nearly affine across the bracket: the first secant
     # pair straddles the crossing
     assert built == [64, 37, 2]
+
+
+# every CLI family's sweep, plus nested mixtures: white noise on a noisy
+# state and on a werner state, whose segments compose
+SEGMENT_FAMILIES = {
+    "tiles-ppt": lambda: noise_family(states.tiles_ppt()),
+    "bell": lambda: noise_family(states.bell()),
+    "ghz-3": lambda: noise_family(states.ghz(3)),
+    "w-4": lambda: noise_family(states.w_state(4)),
+    "pure-product": lambda: noise_family(states.FAMILIES["pure-product"]((2, 3), 0)),
+    **{f"werner-{d}": (lambda d=d: werner_family(d)) for d in (2, 3, 4, 5)},
+    "nested-tiles": lambda: noise_family(states.mix_white_noise(states.tiles_ppt(), 0.9)),
+    "noisy-werner-3": lambda: noise_family(states.werner(3, 0.8)),
+}
+# a segment stack's margins equal the matrix path's to SEGMENT_ULPS * D * eps;
+# the worst case measured over SEGMENT_FAMILIES was 0.75 D eps
+SEGMENT_ULPS = 2
+
+
+@pytest.mark.parametrize("family", SEGMENT_FAMILIES)
+def test_segment_margins_match_the_matrix_path(family):
+    state_at, lo, hi = SEGMENT_FAMILIES[family]()
+    xs = np.linspace(lo, hi, int(round((hi - lo) / COARSE_STEP)) + 1).tolist()
+    rhos = [state_at(x) for x in xs]
+    dims, bound = rhos[0].dims, SEGMENT_ULPS * rhos[0].dim * np.finfo(float).eps
+    end, s = criteria._common_segment(rhos)
+    assert end._segment is None and np.all(np.abs(s) <= 1)
+    if family.startswith("werner"):  # beyond x = 1/d, s < 0: ppt reads lambda_max
+        assert s.min() < 0 < s.max()
+    for name, (bipartite_only, _, _) in criteria._REGISTRY.items():
+        if bipartite_only and len(dims) != 2:
+            continue
+        got = criteria._margins(rhos, DEFAULT_TOL, name, dims)
+        want = [r.margin - DEFAULT_TOL for (r,) in criteria._evaluate(rhos, DEFAULT_TOL, [name])]
+        for x, g, w in zip(xs, got, want):
+            assert abs(g - w) <= bound and (g > 0) == (w > 0), (name, x, g, w)
+
+
+def test_nested_mixtures_compose_their_segment():
+    tiles = states.tiles_ppt()
+    for a, b in [(0.5, 0.3), (0.9, 0.7), (1.0, 0.0)]:
+        inner = states.mix_white_noise(tiles, a)
+        outer = states.mix_white_noise(inner, b)
+        assert inner._segment[0] is tiles and inner._segment[1] == a
+        assert outer._segment[0] is tiles and outer._segment[1] == a * b
+    end, s = states.werner(3, 0.5)._segment
+    assert end is states._werner_end(3) and s == (1 - 3 * 0.5) / 4
+    noisy = states.mix_white_noise(states.werner(3, 0.5), 0.4)
+    assert noisy._segment[0] is end and noisy._segment[1] == 0.4 * s
+
+
+def test_stack_of_two_ends_takes_the_matrix_path(monkeypatch):
+    # equal ends that are not one object: the stack is scored from its
+    # matrices, bit-identical to evaluate_all
+    ends = states.tiles_ppt(), states.tiles_ppt()
+    xs = np.linspace(0.0, 1.0, 101).tolist()
+    rhos = [states.mix_white_noise(ends[k % 2], x) for k, x in enumerate(xs)]
+    assert criteria._common_segment(rhos) is None
+    assert criteria._common_segment([rhos[0], DensityMatrix((3, 3), rhos[0].mat)]) is None
+    built = []
+
+    class Counted(criteria._Analysis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.s)
+
+    monkeypatch.setattr(criteria, "_Analysis", Counted)
+    for name in SWEEP_CRITERIA:
+        got = criteria._margins(rhos, DEFAULT_TOL, name, (3, 3))
+        want = [r.margin - DEFAULT_TOL for (r,) in criteria._evaluate(rhos, DEFAULT_TOL, [name])]
+        assert got == want, name
+    assert built and all(s is None for s in built)
 
 
 def test_thm2_search_runs_one_recurrence_per_block_and_secant_pair(monkeypatch):

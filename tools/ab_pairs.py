@@ -21,10 +21,11 @@ neither side). Each metric also gets its no-regression verdict (see
 after it has written the output file, when any verdict is "past".
 --claim W:METRIC judges one claimed gain: met when the change wins at
 least 9 in 10 pairs and its median beats the parent's by more than the
-parent's interquartile range. --trace W:SEED adds one
-traced pair (run.py --trace 1, TRACE_SECONDS long) whose per-layer
-metrics go under "trace". A --claim or --trace that names a workload or
-metric BENCHMARK.json does not have stops the script before anything runs.
+parent's interquartile range; the judgement is printed after the verdict
+lines and written under "claim". --trace W:SEED adds one traced pair
+(run.py --trace 1, TRACE_SECONDS long) whose per-layer metrics go under
+"trace". A --claim or --trace that names a workload or metric
+BENCHMARK.json does not have stops the script before anything runs.
 """
 
 from __future__ import annotations
@@ -199,6 +200,12 @@ def main() -> int:
         for name, m in block["metrics"].items():
             print(f"{workload} {name}: {m['verdict']}, worse by {m['worse_by']:+.1%} "
                   f"(bound {m['bound']:.0%})")
+    claim = None
+    if args.claim:
+        workload, _, name = args.claim.partition(":")
+        (metric,) = [m for m in spec["end_to_end"] if m["name"] == name]
+        claim = {"workload": workload, "metric": name, "result": judge(blocks[workload], metric)}
+        print(f"claim {workload} {name}: {claim['result']}")
     report = {
         "environment": {k: environment[k] for k in ("python", "numpy", "scipy", "nproc", "blas")},
         "benchmark": {
@@ -213,11 +220,8 @@ def main() -> int:
             "workloads": blocks,
         },
     }
-    if args.claim:
-        workload, _, name = args.claim.partition(":")
-        (metric,) = [m for m in spec["end_to_end"] if m["name"] == name]
-        report["benchmark"]["claim"] = {"workload": workload, "metric": name,
-                                        "result": judge(blocks[workload], metric)}
+    if claim:
+        report["benchmark"]["claim"] = claim
     if traces:
         report["trace"] = {
             "command": f"python3 perfbench/run.py --workload W --seed N "
