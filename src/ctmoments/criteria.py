@@ -28,7 +28,9 @@ the public functions are thin wrappers over evaluate_all.
 A search's states are often one segment s end + (1 - s) I/D (white noise,
 werner's x; see DensityMatrix._segment). `_margins` alone scores a stack
 whose states share one end from that end's matrix and the vector s, equal
-to the matrix path to rounding; reports always take the matrix path.
+to the matrix path to rounding; reports always take the matrix path. A
+swept state's matrix is built on its first read, so a stack scored from its
+segment builds none.
 """
 
 from __future__ import annotations
@@ -131,9 +133,12 @@ class _Analysis:
     def tensor(self, weight, end: bool = False) -> CorrelationTensor:
         """T~ of the states, or of mat with end, with identity slots scaled by
         u and generator slots by v, (u^2, v^2) = weight(d); a zero u is sliced
-        off, so T and T~ are views, not copies."""
-        if self._extended is None:
-            self._end = self._extended = correlation_tensor(self, extended=True)
+        off, so T and T~ are views, not copies. The states' T~ is built only
+        when read: on a segment it is interpolated from mat's."""
+        if self._end is None:
+            self._end = correlation_tensor(self, extended=True)
+        if self._extended is None and not end:
+            self._extended = self._end
             if self.s is not None:
                 # T~(s end + (1 - s) I/D) = s T~(end) + (1 - s)/D at (0, ..., 0),
                 # as Tr(I/D O_1 (x) ... (x) O_n) vanishes unless every O_k = I/d_k

@@ -102,7 +102,9 @@ class DensityMatrix:
     applied to are kept as _defect and _lam_min. _segment is (end, s) when
     mat == s end.mat + (1 - s) I/D, end a validated state without a
     segment and |s| <= 1; only mix_white_noise and werner set it, through
-    _derived_state, and a search's _margins reads it.
+    _derived_state, and a search's _margins reads it. Their mat is built on
+    first read, with the same arithmetic, and kept; a search scored from
+    the segment never builds it.
     """
 
     dims: tuple[int, ...]
@@ -137,6 +139,15 @@ class DensityMatrix:
         object.__setattr__(self, "_defect", float(defect))
         object.__setattr__(self, "_lam_min", float(lam_min))
 
+    def __getattr__(self, name):
+        # reached only while a derived state's mat is unset: build it once
+        build = vars(self).get("_build") if name == "mat" else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "mat", np.ascontiguousarray(build(), dtype=np.complex128))
+        del vars(self)["_build"]
+        return self.mat
+
     @property
     def n_parties(self) -> int:
         return len(self.dims)
@@ -151,17 +162,23 @@ def _derived_state(dims: tuple[int, ...], mat, lam_min: float, defect: float, se
     lambda_min and Hermiticity defect are known in closed form: the same
     rules as DensityMatrix, with those two residuals given instead of
     measured (the trace and scale still are, unless segment is given).
+    mat is the matrix or a zero-argument function that returns it, called
+    on the first read of rho.mat and not again.
 
     segment = (end, s) states that mat = s end.mat + (1 - s) I/D with |s| <= 1
-    and end a validated state without a segment. Then mat is not read again:
+    and end a validated state without a segment. Then mat is not read:
     Tr mat - 1 = s (Tr end - 1), which end's trace rule bounds, and the
     identity adds no Hermiticity defect; scale = max(1, max|mat|) >= 1, so
     a defect <= HERMITICITY_RTOL and lambda_min >= -PSD_ATOL pass the
-    measured rules too. A state that misses these bounds is measured.
+    measured rules too. A state that misses these bounds, or has no
+    segment, is built at once and measured.
     """
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "dims", dims)
-    object.__setattr__(rho, "mat", np.ascontiguousarray(mat, dtype=np.complex128))
+    if callable(mat):
+        object.__setattr__(rho, "_build", mat)
+    else:
+        object.__setattr__(rho, "mat", np.ascontiguousarray(mat, dtype=np.complex128))
     if segment is None or defect > HERMITICITY_RTOL or lam_min < -PSD_ATOL:
         rho._apply_rules(defect, lam_min)
     else:

@@ -3,7 +3,7 @@ product states, white-noise mixing, and seeded random state generators."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from numbers import Integral
 
@@ -68,7 +68,7 @@ def werner(d: int, x: float) -> DensityMatrix:
     # on the antisymmetric subspace; mat is real and symmetric
     lam_min = min((1 + x) / (d * (d + 1)), (1 - x) / (d * (d - 1)))
     segment = _werner_end(d), (1 - d * x) / (d + 1)
-    return _derived_state((d, d), _werner_matrix(d, x), lam_min, 0.0, segment)
+    return _derived_state((d, d), partial(_werner_matrix, d, x), lam_min, 0.0, segment)
 
 
 def _ket(*amps) -> np.ndarray:
@@ -92,18 +92,22 @@ def tiles_ppt() -> DensityMatrix:
     return DensityMatrix((3, 3), mat / 4.0)
 
 
+def _noisy_matrix(rho: DensityMatrix, x: float) -> np.ndarray:
+    d = rho.dim
+    return x * rho.mat + (1.0 - x) / d * _identity(d)
+
+
 def mix_white_noise(rho: DensityMatrix, x: float) -> DensityMatrix:
     """x * rho + (1 - x)/D * I; x = 0 is maximally mixed, x = 1 is rho.
 
     Its segment is (rho, x), or (end, x s) when rho lies on (end, s)."""
     if not 0.0 <= x <= 1.0:
         raise ParamOutOfRange(f"noise parameter x must lie in [0, 1], got {x}")
-    d = rho.dim
-    mat = x * rho.mat + (1.0 - x) / d * _identity(d)
     # the spectrum shifts affinely and the identity adds no defect
-    lam_min = x * rho._lam_min + (1.0 - x) / d
+    lam_min = x * rho._lam_min + (1.0 - x) / rho.dim
     end, s = rho._segment or (rho, 1.0)
-    return _derived_state(rho.dims, mat, lam_min, x * rho._defect, (end, x * s))
+    return _derived_state(rho.dims, partial(_noisy_matrix, rho, x), lam_min,
+                          x * rho._defect, (end, x * s))
 
 
 def _pure_product_matrix(vectors) -> np.ndarray:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +292,54 @@ def test_mix_white_noise_bytes_match_a_fresh_build():
             x = float(x)
             want = x * rho.mat + (1.0 - x) / d * np.eye(d, dtype=np.complex128)
             assert mix_white_noise(rho, x).mat.tobytes() == want.tobytes()
+
+
+def eager_swept_states():
+    """(state, the matrix its constructor computed eagerly) for werner and
+    for single and nested white-noise mixtures, each matrix built afresh."""
+    for d in (2, 3, 4):
+        flip = np.eye(d * d, dtype=np.complex128)[np.arange(d * d).reshape(d, d).T.ravel()]
+        for x in (-1.0, -0.3, 0.0, 0.7, 1.0):
+            eye = np.eye(d * d, dtype=np.complex128)
+            yield werner(d, x), ((d - x) * eye + (d * x - 1) * flip) / (d**3 - d)
+    rng = np.random.default_rng(22)
+    for rho in (tiles_ppt(), random_density((2, 3), rng), werner(3, 0.4)):
+        d, eye = rho.dim, np.eye(rho.dim, dtype=np.complex128)
+        for x in (0.0, 0.37, 1.0):
+            inner = 0.5 * rho.mat + 0.5 / d * eye
+            yield mix_white_noise(rho, x), x * rho.mat + (1.0 - x) / d * eye
+            yield (mix_white_noise(mix_white_noise(rho, 0.5), x),
+                   x * inner + (1.0 - x) / d * eye)
+
+
+def test_swept_matrix_is_built_on_first_read_and_kept():
+    for rho, want in eager_swept_states():
+        assert "mat" not in vars(rho)
+        first = rho.mat
+        assert first.dtype == np.complex128 and first.flags.c_contiguous
+        assert first.tobytes() == want.tobytes()
+        assert rho.mat is first
+        assert "_build" not in vars(rho)  # the builder ran once and is gone
+
+
+def test_unknown_attributes_stay_missing():
+    for rho in (werner(3, 0.2), mix_white_noise(bell(), 0.5), bell()):
+        assert not hasattr(rho, "nonexistent")
+        with pytest.raises(AttributeError, match="nonexistent"):
+            rho.nonexistent
+        rho.mat
+        assert not hasattr(rho, "nonexistent")
+
+
+def test_unbuilt_swept_states_copy_and_pickle():
+    for rho, want in eager_swept_states():
+        s = rho._segment[1]
+        for twin in (pickle.loads(pickle.dumps(rho)), copy.deepcopy(rho)):
+            assert "mat" not in vars(twin) and twin._segment[1] == s
+            assert twin._lam_min == rho._lam_min and twin.dims == rho.dims
+            assert twin.mat.tobytes() == want.tobytes()
+        assert "mat" not in vars(rho)
+        assert rho.mat.tobytes() == want.tobytes()
 
 
 def test_returned_states_do_not_share_the_cached_operators():

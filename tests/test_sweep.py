@@ -186,6 +186,35 @@ def test_swept_states_need_no_eigensolver(monkeypatch):
     assert checks == [(4, 4), (9, 9), (16, 16)]
 
 
+@pytest.mark.parametrize("family", ["werner-3", "tiles-noise"])
+def test_a_segment_search_builds_no_swept_matrix(family):
+    tiles = states.tiles_ppt()
+    make, lo, hi = ((lambda x: states.werner(3, x)), -1.0, 1.0)
+    if family == "tiles-noise":
+        make, lo, hi = noise_family(tiles)
+    for name in SWEEP_CRITERIA:
+        returned = []
+
+        def state_at(x):
+            returned.append(make(x))
+            return returned[-1]
+
+        find_threshold(state_at, name, lo, hi)
+        assert len(returned) > 100  # the grid and any refinement
+        assert [rho for rho in returned if "mat" in vars(rho)] == []
+
+
+def test_plain_weights_on_a_segment_interpolate_no_tensor():
+    end, s = states.tiles_ppt(), np.linspace(-0.5, 1.0, 5)
+    a = criteria._Analysis(end.dims, end.mat[None], (criteria._PLAIN,), s)
+    for name in ("dv", "thm1-plain", "thm2-plain", "thm3-plain"):
+        _, test, weight = criteria._REGISTRY[name]
+        test(weight, a)
+    assert a._extended is None  # T of the states is |s| times end's
+    a.spectrum(criteria._CANONICAL, 1)
+    assert a._extended.entries.shape == (5, 9, 9)
+
+
 def test_tiles_search_builds_one_analysis_per_block_and_secant_pair(monkeypatch):
     built = []
 
